@@ -15,6 +15,7 @@
 //! to 1e-10, which pins every exchange in this file.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
@@ -47,6 +48,72 @@ pub fn transpose_partner(r: usize, c: usize, nprows: usize, npcols: usize) -> (u
     }
 }
 
+/// One rank's (row strip × column strip) block of `A`, built once per
+/// run.
+///
+/// Under the 2-D grid a block row holds only about `nz_per_row /
+/// npcols` nonzeros, so a row-order matvec branches unpredictably on
+/// a trip count of 0–4. The rows are therefore stable-sorted by nonzero
+/// count, which turns the inner loop into long stretches of equal
+/// trip count; rows with no entry in the column strip are left out.
+/// Each row keeps its entries in CSR order and [`Block::matvec`] sums
+/// them from `0.0`, so every output is bit-identical to the row-order
+/// loop over the global CSR.
+struct Block {
+    /// Output row (offset in the row strip) of each stored row.
+    row: Vec<u32>,
+    /// Stored row `k` owns entries `ptr[k]..ptr[k + 1]`.
+    ptr: Vec<u32>,
+    /// Column offset in the column strip.
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl Block {
+    fn new(a: &SparseSpd, rows: Range<usize>, col_range: Range<usize>) -> Block {
+        let entries =
+            |i: usize| (a.row_ptr[i]..a.row_ptr[i + 1]).filter(|&e| col_range.contains(&a.cols[e]));
+        let mut order: Vec<(usize, u32)> = rows
+            .clone()
+            .map(|i| (entries(i).count(), (i - rows.start) as u32))
+            .filter(|&(len, _)| len > 0)
+            .collect();
+        // Stable: rows of equal length stay in strip order.
+        order.sort_by_key(|&(len, _)| len);
+        let nnz: usize = order.iter().map(|&(len, _)| len).sum();
+        let mut b = Block {
+            row: Vec::with_capacity(order.len()),
+            ptr: Vec::with_capacity(order.len() + 1),
+            cols: Vec::with_capacity(nnz),
+            vals: Vec::with_capacity(nnz),
+        };
+        b.ptr.push(0);
+        for (_, r) in order {
+            for e in entries(rows.start + r as usize) {
+                b.cols.push((a.cols[e] - col_range.start) as u32);
+                b.vals.push(a.vals[e]);
+            }
+            let end = u32::try_from(b.cols.len()).expect("block fits u32 offsets");
+            b.row.push(r);
+            b.ptr.push(end);
+        }
+        b
+    }
+
+    /// `w[r] = Σ_j A[r, j] · x[j]` over the block; `w` must be zeroed
+    /// (rows without entries are not stored).
+    fn matvec(&self, x: &[f64], w: &mut [f64]) {
+        for (&r, ptr) in self.row.iter().zip(self.ptr.windows(2)) {
+            let (lo, hi) = (ptr[0] as usize, ptr[1] as usize);
+            let mut acc = 0.0;
+            for (&j, &v) in self.cols[lo..hi].iter().zip(&self.vals[lo..hi]) {
+                acc += v * x[j as usize];
+            }
+            w[r as usize] = acc;
+        }
+    }
+}
+
 #[derive(Clone)]
 pub(super) struct CgProgram2D {
     pub problem: CgProblem,
@@ -71,38 +138,22 @@ impl RankProgram for CgProgram2D {
             let rows = row * nr..(row + 1) * nr;
             let a = SparseSpd::shared(p.n, p.nz_per_row, 0xC6);
 
-            // Extract my (row strip × column strip) block once. The
-            // matvec below touches only entries with j in my column
-            // strip; filtering them out of the global CSR on every
-            // inner iteration re-scans ~npcols× more nonzeros than it
-            // uses. The extraction preserves entry order, so the
-            // partial sums accumulate in exactly the same sequence and
-            // the f64 results are bit-identical to the filtering loop.
-            let col_range = col * nc..(col + 1) * nc;
-            let mut blk_ptr = Vec::with_capacity(nr + 1);
-            let mut blk: Vec<(u32, f64)> = Vec::new();
-            blk_ptr.push(0usize);
-            for i in rows.clone() {
-                for e in a.row_ptr[i]..a.row_ptr[i + 1] {
-                    let j = a.cols[e];
-                    if col_range.contains(&j) {
-                        blk.push(((j - col_range.start) as u32, a.vals[e]));
-                    }
-                }
-                blk_ptr.push(blk.len());
-            }
+            let blk = Block::new(&a, rows, col * nc..(col + 1) * nc);
 
             let scale = p.model_n as f64 / p.n as f64;
-            let flop_time =
-                |flops: f64| Dur::from_secs_f64(flops * scale / (p.mflops_per_cpu * 1e6));
+            let flops = 2.0 * (a.nnz() as f64 / nproc as f64) + 10.0 * nr as f64;
+            let matvec_time = Dur::from_secs_f64(flops * scale / (p.mflops_per_cpu * 1e6));
             // Modelled wire sizes at class A scale.
             let nr_bytes = (p.model_n / nprows * 8) as u64;
             let nc_bytes = (p.model_n / npcols * 8) as u64;
 
-            // My transpose partner for the iterate redistribution.
+            // My transpose partner for the iterate redistribution. I
+            // give it the slice of my row strip covering its column
+            // strip `tc`; that slice lies inside my strip by
+            // construction (see `transpose_partner`).
             let (tr, tc) = transpose_partner(row, col, nprows, npcols);
             let partner = tr * npcols + tc;
-            let _ = tr;
+            let send_lo = tc * nc - row * nr;
 
             // One CG outer solve ---------------------------------------------
             let mut x_row = vec![1.0f64; nr];
@@ -121,29 +172,16 @@ impl RankProgram for CgProgram2D {
                     // 1. Transpose p (row strips) into my column strip.
                     let p_col = transpose_exchange(
                         &c,
-                        &p_row,
-                        row,
-                        col,
-                        nprows,
-                        npcols,
+                        &p_row[send_lo..send_lo + nc],
                         partner,
-                        nc,
                         nc_bytes,
                         100 + inner as i64,
                     )
                     .await;
-                    // 2. Local partial matvec over my pre-extracted
-                    //    block (same entries, same order — see above).
+                    // 2. Local partial matvec over my block.
                     let mut w = vec![0.0; nr];
-                    for (wi, ptr) in w.iter_mut().zip(blk_ptr.windows(2)) {
-                        let mut acc = 0.0;
-                        for &(j, v) in &blk[ptr[0]..ptr[1]] {
-                            acc += v * p_col[j as usize];
-                        }
-                        *wi = acc;
-                    }
-                    let flops = 2.0 * (a.nnz() as f64 / nproc as f64) + 10.0 * nr as f64;
-                    c.compute(flop_time(flops), p.mem_intensity).await;
+                    blk.matvec(&p_col, &mut w);
+                    c.compute(matvec_time, p.mem_intensity).await;
                     // 3. Sum-reduce w across the row group -> q (replicated).
                     let q =
                         row_group_allreduce(&c, w, row, col, npcols, nr_bytes, 500 + inner as i64)
@@ -188,31 +226,17 @@ impl RankProgram for CgProgram2D {
     }
 }
 
-/// Exchange with the transpose partner: give it the slice of my row
-/// strip covering *its* column strip; receive my column strip from it.
-#[allow(clippy::too_many_arguments)]
+/// Exchange with the transpose partner: give it `strip`, the part of my
+/// row strip covering *its* column strip; receive my column strip from
+/// it.
 async fn transpose_exchange<C: Communicator>(
     c: &C,
-    v_row: &[f64],
-    row: usize,
-    _col: usize,
-    _nprows: usize,
-    npcols: usize,
+    strip: &[f64],
     partner: usize,
-    nc: usize,
     nc_bytes: u64,
     tag: i64,
 ) -> Vec<f64> {
     let me = c.rank();
-    let (tr, tc) = (partner / npcols, partner % npcols);
-    let _ = tr;
-    // Global rows of my strip: [row*nr, (row+1)*nr) where nr = nc *
-    // npcols / nprows. The partner's column strip tc spans
-    // [tc*nc, (tc+1)*nc) — contained in my strip by construction.
-    let nr = v_row.len();
-    let my_lo = row * nr;
-    let send_lo = tc * nc - my_lo;
-    let strip = &v_row[send_lo..send_lo + nc];
     if partner == me {
         return strip.to_vec();
     }
@@ -275,6 +299,77 @@ mod tests {
         assert_eq!(grid(16), (4, 4));
         assert_eq!(grid(32), (4, 8));
         assert_eq!(grid(64), (8, 8));
+    }
+
+    /// Reference: the row-order loop filtering the global CSR to my
+    /// column strip.
+    fn filtered_csr_matvec(
+        a: &SparseSpd,
+        rows: Range<usize>,
+        col_range: Range<usize>,
+        x: &[f64],
+    ) -> Vec<f64> {
+        rows.map(|i| {
+            let mut acc = 0.0;
+            for e in a.row_ptr[i]..a.row_ptr[i + 1] {
+                let j = a.cols[e];
+                if col_range.contains(&j) {
+                    acc += a.vals[e] * x[j - col_range.start];
+                }
+            }
+            acc
+        })
+        .collect()
+    }
+
+    #[test]
+    fn block_matvec_is_bit_identical_to_filtered_csr() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut empty_rows = 0usize;
+        for _case in 0..12 {
+            let n = 64 * (1 + next() as usize % 8);
+            let nz_per_row = 1 + next() as usize % 16;
+            let a = SparseSpd::generate(n, nz_per_row, next());
+            for p in (0..7).map(|k| 1usize << k) {
+                let (nprows, npcols) = grid(p);
+                let (nr, nc) = (n / nprows, n / npcols);
+                for row in 0..nprows {
+                    for col in 0..npcols {
+                        let rows = row * nr..(row + 1) * nr;
+                        let cols = col * nc..(col + 1) * nc;
+                        // Signed values with full mantissas, so the
+                        // summation order shows in the low bits.
+                        let x: Vec<f64> = (0..nc)
+                            .map(|_| (next() as i64 >> 11) as f64 * 2f64.powi(-40))
+                            .collect();
+                        let want = filtered_csr_matvec(&a, rows.clone(), cols.clone(), &x);
+                        let blk = Block::new(&a, rows, cols);
+                        let mut got = vec![0.0; nr];
+                        blk.matvec(&x, &mut got);
+                        empty_rows += nr - blk.row.len();
+                        let lens: Vec<u32> = blk.ptr.windows(2).map(|w| w[1] - w[0]).collect();
+                        assert!(
+                            lens.windows(2).all(|l| l[0] <= l[1]),
+                            "rows grouped by length"
+                        );
+                        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "n={n} nz={nz_per_row} p={p} block ({row},{col}) row {k}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(empty_rows > 0, "cases must include blocks with empty rows");
     }
 
     #[test]

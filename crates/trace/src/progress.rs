@@ -120,8 +120,19 @@ pub fn beat_now(source: &str, fields: impl FnOnce() -> String) {
 mod tests {
     use super::*;
 
+    /// Both tests read the process-global `OVERRIDE`, and one sets it:
+    /// run them one at a time.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        // A failed sibling poisons the lock; the `()` it guards is
+        // still valid.
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn beats_append_jsonl_and_rate_limit() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("elanib_progress_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("beat.jsonl");
@@ -143,6 +154,7 @@ mod tests {
 
     #[test]
     fn disabled_without_env_or_override() {
+        let _serial = serial();
         // No override and (in the test environment) no ELANIB_PROGRESS:
         // beat() must not panic and must build nothing.
         if std::env::var("ELANIB_PROGRESS").is_ok() {

@@ -95,6 +95,35 @@ fn numerics_survive_the_network() {
     assert!((run.zeta - (p.shift + 1.0)).abs() > 1e-3);
 }
 
+/// Golden pin on the Figure 6 solver: ζ and simulated time of the 2-D
+/// NAS CG at class A timing (n = 1024 real arithmetic, 15×25
+/// iterations), one process per node, must not move by a single bit.
+/// ζ is blind to last-bit changes in the matvec's partial sums; their
+/// bit-exactness is `two_d`'s unit test.
+#[test]
+fn cg_results_are_pinned_bit_for_bit() {
+    use Network::{Elan4, InfiniBand};
+    // (network, procs, ζ bits, simulated seconds bits)
+    let pins: [(Network, usize, u64, u64); 6] = [
+        (InfiniBand, 1, 0x40357a8e87968464, 0x3fdb6e58a32f4491),
+        (InfiniBand, 8, 0x40357a8e87968465, 0x3fd34a07e279188f),
+        (InfiniBand, 32, 0x40357a8e87968464, 0x3fd0451d620f3678),
+        (Elan4, 1, 0x40357a8e87968464, 0x3fdb6e58a32f4491),
+        (Elan4, 8, 0x40357a8e87968465, 0x3fcf261baecdcfa2),
+        (Elan4, 32, 0x40357a8e87968464, 0x3fc5914e7ebae638),
+    ];
+    for (net, procs, zeta, time_s) in pins {
+        let run = cg_run(net, class_a_reduced(1024), procs, 1);
+        assert_eq!(
+            (run.zeta.to_bits(), run.time_s.to_bits()),
+            (zeta, time_s),
+            "{net} at {procs} procs: ζ {} time {} s",
+            run.zeta,
+            run.time_s
+        );
+    }
+}
+
 /// The experiment inventory is complete and every exhibit names a
 /// real binary target.
 #[test]
