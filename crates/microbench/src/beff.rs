@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
 use elanib_mpi::{
-    bytes_of_f64, irecv, isend, waitall, Communicator, JobSpec, Network, RankProgram,
+    irecv, isend, waitall, zeros, Bytes, Communicator, JobSpec, Network, RankProgram,
 };
 
 /// b_eff for one system size.
@@ -72,6 +72,9 @@ fn patterns(n: usize) -> Vec<Vec<usize>> {
 #[derive(Clone)]
 struct Beff {
     iters: u32,
+    /// One payload per [`beff_sizes`] entry, built once per job and
+    /// shared by every rank and pattern.
+    payloads: Rc<[Bytes]>,
     out: Rc<Cell<f64>>,
 }
 
@@ -91,8 +94,7 @@ impl RankProgram for Beff {
                 let dst = pat[me];
                 let src = pat.iter().position(|&d| d == me).unwrap();
                 let mut sum_bw = 0.0;
-                for &bytes in &sizes {
-                    let payload = bytes_of_f64(&vec![0.0; (bytes as usize / 8).max(1)]);
+                for (&bytes, payload) in sizes.iter().zip(self.payloads.iter()) {
                     barrier(&c).await;
                     let t0 = sim.now();
                     for it in 0..self.iters {
@@ -129,6 +131,7 @@ pub fn beff(network: Network, nodes: usize, ppn: usize, iters: u32) -> BeffPoint
             },
             Beff {
                 iters,
+                payloads: beff_sizes().into_iter().map(zeros).collect(),
                 out: out.clone(),
             },
         );

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use elanib_fabric::{FaultPlan, FaultStats};
 use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
-use elanib_mpi::{bytes_of_f64, recv, send, Communicator, NetConfig, Network, RankProgram};
+use elanib_mpi::{recv, send, zeros, Bytes, Communicator, NetConfig, Network, RankProgram};
 use elanib_simcore::Sim;
 
 /// One fault-injected measurement.
@@ -147,6 +147,7 @@ fn point_from(bytes: u64, network: Network, latency_us: Option<f64>, st: FaultSt
 #[derive(Clone)]
 struct FaultPingPong {
     bytes: u64,
+    payload: Bytes,
     iters: u32,
     out_us: Rc<Cell<f64>>,
 }
@@ -156,11 +157,10 @@ impl RankProgram for FaultPingPong {
     fn run<C: Communicator>(self, c: C) -> impl std::future::Future<Output = ()> + 'static {
         async move {
             let sim = c.sim();
-            let payload = bytes_of_f64(&vec![0.0; (self.bytes as usize / 8).max(1)]);
             if c.rank() == 0 {
                 let t0 = sim.now();
                 for _ in 0..self.iters {
-                    send(&c, 1, 1, payload.clone(), self.bytes).await;
+                    send(&c, 1, 1, self.payload.clone(), self.bytes).await;
                     let _ = recv(&c, Some(1), Some(2)).await;
                 }
                 let total = sim.now().since(t0).as_us_f64();
@@ -168,7 +168,7 @@ impl RankProgram for FaultPingPong {
             } else if c.rank() == 1 {
                 for _ in 0..self.iters {
                     let _ = recv(&c, Some(0), Some(1)).await;
-                    send(&c, 0, 2, payload.clone(), self.bytes).await;
+                    send(&c, 0, 2, self.payload.clone(), self.bytes).await;
                 }
             }
         }
@@ -193,6 +193,7 @@ pub fn fault_pingpong(
             &cfg_with(plan),
             FaultPingPong {
                 bytes,
+                payload: zeros(bytes),
                 iters,
                 out_us: out.clone(),
             },
@@ -206,6 +207,7 @@ pub fn fault_pingpong(
 #[derive(Clone)]
 struct FaultStream {
     bytes: u64,
+    payload: Bytes,
     msgs: u32,
     last: usize,
     out_us: Rc<Cell<f64>>,
@@ -216,10 +218,9 @@ impl RankProgram for FaultStream {
     fn run<C: Communicator>(self, c: C) -> impl std::future::Future<Output = ()> + 'static {
         async move {
             let sim = c.sim();
-            let payload = bytes_of_f64(&vec![0.0; (self.bytes as usize / 8).max(1)]);
             if c.rank() == 0 {
                 for _ in 0..self.msgs {
-                    send(&c, self.last, 1, payload.clone(), self.bytes).await;
+                    send(&c, self.last, 1, self.payload.clone(), self.bytes).await;
                 }
                 let _ = recv(&c, Some(self.last), Some(2)).await;
                 self.out_us.set(sim.now().as_us_f64());
@@ -227,7 +228,7 @@ impl RankProgram for FaultStream {
                 for _ in 0..self.msgs {
                     let _ = recv(&c, Some(0), Some(1)).await;
                 }
-                send(&c, 0, 2, bytes_of_f64(&[0.0]), 8).await;
+                send(&c, 0, 2, zeros(8), 8).await;
             }
         }
     }
@@ -252,6 +253,7 @@ pub fn outage_stream(network: Network, msgs: u32, bytes: u64, plan: &Arc<FaultPl
                 &cfg_with(plan),
                 FaultStream {
                     bytes,
+                    payload: zeros(bytes),
                     msgs,
                     last: nodes - 1,
                     out_us: out.clone(),

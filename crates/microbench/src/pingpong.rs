@@ -7,7 +7,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use elanib_mpi::{bytes_of_f64, recv, send, Communicator, JobSpec, Network, RankProgram};
+use elanib_mpi::{recv, send, zeros, Bytes, Communicator, JobSpec, Network, RankProgram};
 
 /// One point on the ping-pong curves.
 #[derive(Clone, Copy, Debug)]
@@ -22,6 +22,7 @@ pub struct PingPongPoint {
 #[derive(Clone)]
 struct PingPong {
     bytes: u64,
+    payload: Bytes,
     iters: u32,
     /// One-way latency in µs, written by rank 0.
     out_us: Rc<Cell<f64>>,
@@ -34,25 +35,24 @@ impl RankProgram for PingPong {
     fn run<C: Communicator>(self, c: C) -> impl std::future::Future<Output = ()> + 'static {
         async move {
             let sim = c.sim();
-            let payload = bytes_of_f64(&vec![0.0; (self.bytes as usize / 8).max(1)]);
             // Warm-up exchange: connection paths, registration caches.
             // (Pallas also discards warm-up iterations.)
             if c.rank() == 0 {
-                send(&c, 1, 0, payload.clone(), self.bytes).await;
+                send(&c, 1, 0, self.payload.clone(), self.bytes).await;
                 let _ = recv(&c, Some(1), Some(0)).await;
                 let t0 = sim.now();
                 for _ in 0..self.iters {
-                    send(&c, 1, 1, payload.clone(), self.bytes).await;
+                    send(&c, 1, 1, self.payload.clone(), self.bytes).await;
                     let _ = recv(&c, Some(1), Some(2)).await;
                 }
                 let total = sim.now().since(t0).as_us_f64();
                 self.out_us.set(total / (2.0 * self.iters as f64));
             } else if c.rank() == 1 {
                 let _ = recv(&c, Some(0), Some(0)).await;
-                send(&c, 0, 0, payload.clone(), self.bytes).await;
+                send(&c, 0, 0, self.payload.clone(), self.bytes).await;
                 for _ in 0..self.iters {
                     let _ = recv(&c, Some(0), Some(1)).await;
-                    send(&c, 0, 2, payload.clone(), self.bytes).await;
+                    send(&c, 0, 2, self.payload.clone(), self.bytes).await;
                 }
             }
         }
@@ -63,10 +63,16 @@ impl RankProgram for PingPong {
 pub fn pingpong(network: Network, bytes: u64, iters: u32) -> PingPongPoint {
     elanib_core::simcache::get_or_compute("mb.pingpong", &(network, bytes, iters), || {
         let out = Rc::new(Cell::new(0.0));
-        run_pair(
-            network,
+        elanib_mpi::run_job(
+            JobSpec {
+                network,
+                nodes: 2,
+                ppn: 1,
+                seed: 5,
+            },
             PingPong {
                 bytes,
+                payload: zeros(bytes),
                 iters,
                 out_us: out.clone(),
             },
@@ -103,18 +109,6 @@ impl elanib_core::simcache::CacheValue for PingPongPoint {
         };
         bytes.is_empty().then_some(p)
     }
-}
-
-fn run_pair<P: RankProgram>(network: Network, p: P) {
-    elanib_mpi::run_job(
-        JobSpec {
-            network,
-            nodes: 2,
-            ppn: 1,
-            seed: 5,
-        },
-        p,
-    );
 }
 
 /// The message sizes of Figure 1 (log-2 spaced, 4 bytes to 4 MiB).

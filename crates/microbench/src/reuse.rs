@@ -10,7 +10,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use elanib_mpi::{bytes_of_f64, Communicator, JobSpec, Network, RankProgram, CTX_WORLD};
+use elanib_mpi::{zeros, Bytes, Communicator, JobSpec, Network, RankProgram, CTX_WORLD};
 
 /// One point of the re-use study.
 #[derive(Clone, Copy, Debug)]
@@ -25,6 +25,7 @@ pub struct ReusePoint {
 #[derive(Clone)]
 struct ReusePingPong {
     bytes: u64,
+    payload: Bytes,
     reuse_pct: u32,
     iters: u32,
     out_us: Rc<Cell<f64>>,
@@ -51,7 +52,6 @@ impl RankProgram for ReusePingPong {
     fn run<C: Communicator>(self, c: C) -> impl std::future::Future<Output = ()> + 'static {
         async move {
             let sim = c.sim();
-            let payload = bytes_of_f64(&vec![0.0; (self.bytes as usize / 8).max(1)]);
             let me = c.rank();
             if me == 0 {
                 let t0 = sim.now();
@@ -61,7 +61,7 @@ impl RankProgram for ReusePingPong {
                             1,
                             1,
                             CTX_WORLD,
-                            payload.clone(),
+                            self.payload.clone(),
                             self.bytes,
                             self.region(1, i),
                         )
@@ -85,7 +85,7 @@ impl RankProgram for ReusePingPong {
                             0,
                             2,
                             CTX_WORLD,
-                            payload.clone(),
+                            self.payload.clone(),
                             self.bytes,
                             self.region(4, i),
                         )
@@ -111,6 +111,7 @@ pub fn pingpong_reuse(network: Network, bytes: u64, reuse_pct: u32, iters: u32) 
             },
             ReusePingPong {
                 bytes,
+                payload: zeros(bytes),
                 reuse_pct,
                 iters,
                 out_us: out.clone(),

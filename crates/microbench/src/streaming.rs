@@ -8,7 +8,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use elanib_mpi::{
-    bytes_of_f64, irecv, isend, recv, send, waitall, Communicator, JobSpec, Network, RankProgram,
+    irecv, isend, recv, send, waitall, zeros, Bytes, Communicator, JobSpec, Network, RankProgram,
 };
 
 /// One point on the streaming curve.
@@ -22,6 +22,7 @@ pub struct StreamingPoint {
 #[derive(Clone)]
 struct Streaming {
     bytes: u64,
+    payload: Bytes,
     count: u32,
     out_us_total: Rc<Cell<f64>>,
 }
@@ -33,14 +34,13 @@ impl RankProgram for Streaming {
     fn run<C: Communicator>(self, c: C) -> impl std::future::Future<Output = ()> + 'static {
         async move {
             let sim = c.sim();
-            let payload = bytes_of_f64(&vec![0.0; (self.bytes as usize / 8).max(1)]);
             if c.rank() == 0 {
                 // Receiver signals that all receives are pre-posted.
                 let _ = recv(&c, Some(1), Some(3)).await;
                 let t0 = sim.now();
                 let mut reqs = Vec::with_capacity(self.count as usize);
                 for _ in 0..self.count {
-                    reqs.push(isend(&c, 1, 1, payload.clone(), self.bytes).await);
+                    reqs.push(isend(&c, 1, 1, self.payload.clone(), self.bytes).await);
                 }
                 waitall(&c, reqs).await;
                 // Final ack bounds the measurement at full delivery.
@@ -51,9 +51,9 @@ impl RankProgram for Streaming {
                 for _ in 0..self.count {
                     reqs.push(irecv(&c, Some(0), Some(1)).await);
                 }
-                send(&c, 0, 3, payload.clone(), 8).await;
+                send(&c, 0, 3, self.payload.clone(), 8).await;
                 waitall(&c, reqs).await;
-                send(&c, 0, 2, payload.clone(), 8).await;
+                send(&c, 0, 2, self.payload.clone(), 8).await;
             }
         }
     }
@@ -72,6 +72,7 @@ pub fn streaming(network: Network, bytes: u64, count: u32) -> StreamingPoint {
             },
             Streaming {
                 bytes,
+                payload: zeros(bytes),
                 count,
                 out_us_total: out.clone(),
             },

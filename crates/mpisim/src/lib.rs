@@ -224,6 +224,14 @@ pub fn f64s_of_bytes(b: &[u8]) -> impl Iterator<Item = f64> + '_ {
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
 }
 
+/// All-zero payload standing in for a `bytes`-long message: the same
+/// length and content as encoding `(bytes / 8).max(1)` zero floats
+/// with [`bytes_of_f64`], in one zeroed allocation. Build it once and
+/// share it by `Rc` clone; the model reads only the `bytes` argument.
+pub fn zeros(bytes: u64) -> Bytes {
+    Rc::new(vec![0u8; 8 * (bytes as usize / 8).max(1)])
+}
+
 /// Empty payload for control-style messages.
 pub fn empty() -> Bytes {
     elanib_nic::no_bytes()
@@ -239,6 +247,14 @@ mod tests {
         let b = bytes_of_f64(&xs);
         assert_eq!(b.len(), 32);
         assert_eq!(f64_of_bytes(&b), xs);
+    }
+
+    #[test]
+    fn zeros_matches_encoded_zero_floats() {
+        for bytes in [0u64, 1, 7, 8, 9, 4096, 1_048_576] {
+            let want = bytes_of_f64(&vec![0.0; (bytes as usize / 8).max(1)]);
+            assert_eq!(*zeros(bytes), *want, "{bytes} B");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
-use elanib_mpi::{bytes_of_f64, irecv, isend, recv, send, Communicator};
+use elanib_mpi::{bytes_of_f64, irecv, isend, recv, send, zeros, Communicator};
 use elanib_simcore::{Dur, Sim};
 
 /// One-way small-message latency via 100-iteration ping-pong.
@@ -24,7 +24,7 @@ where
         let res = result.clone();
         let s = sim.clone();
         sim.spawn(format!("pp{r}"), async move {
-            let payload = bytes_of_f64(&vec![0.0; (bytes as usize / 8).max(1)]);
+            let payload = zeros(bytes);
             if c.rank() == 0 {
                 let t0 = s.now();
                 for _ in 0..iters {

@@ -124,6 +124,51 @@ fn cg_results_are_pinned_bit_for_bit() {
     }
 }
 
+/// Golden pin on the Figure 1 microbenchmarks: b_eff over both
+/// networks at 2, 4 and 8 nodes, and ping-pong latency at 0 B, 4 KiB
+/// and 4 MiB with `fig1`'s iteration counts, must not move by a single
+/// bit. The committed CSVs round to 0.1 and would hide last-bit drift.
+#[test]
+fn microbench_results_are_pinned_bit_for_bit() {
+    use Network::{Elan4, InfiniBand};
+    // (network, nodes, b_eff MB/s bits)
+    let beff_pins: [(Network, usize, u64); 6] = [
+        (InfiniBand, 2, 0x4072f755d0e0d373),
+        (InfiniBand, 4, 0x4082998d7553461e),
+        (InfiniBand, 8, 0x4092f41c4dfe87ff),
+        (Elan4, 2, 0x407c18f0c104eedb),
+        (Elan4, 4, 0x408a121c7d9462b1),
+        (Elan4, 8, 0x4097c095e2f13d2f),
+    ];
+    for (net, nodes, bits) in beff_pins {
+        let p = beff(net, nodes, 1, 2);
+        assert_eq!(
+            p.beff_mb_s.to_bits(),
+            bits,
+            "{net} b_eff at {nodes} nodes: {}",
+            p.beff_mb_s
+        );
+    }
+    // (network, bytes, iterations, one-way latency µs bits)
+    let pingpong_pins: [(Network, u64, u32, u64); 6] = [
+        (InfiniBand, 0, 60, 0x401b8fe64f54d1ea),
+        (InfiniBand, 4096, 60, 0x403d5d98fd033d13),
+        (InfiniBand, 4 << 20, 8, 0x40baf59aadb402d1),
+        (Elan4, 0, 60, 0x400688e4fb97bb73),
+        (Elan4, 4096, 60, 0x401c7241c3efae7a),
+        (Elan4, 4 << 20, 8, 0x40b145dedafd1138),
+    ];
+    for (net, bytes, iters, bits) in pingpong_pins {
+        let p = pingpong(net, bytes, iters);
+        assert_eq!(
+            p.latency_us.to_bits(),
+            bits,
+            "{net} ping-pong at {bytes} B: {} µs",
+            p.latency_us
+        );
+    }
+}
+
 /// The experiment inventory is complete and every exhibit names a
 /// real binary target.
 #[test]
