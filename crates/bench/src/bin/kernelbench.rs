@@ -79,7 +79,7 @@ fn record(label: &str, events: u64, wall: f64) {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let line = format!(
-        "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"kernel_{label}\",\"jobs\":1,\"threads\":1,\"shards\":null,\"payload_mode\":\"{}\",\"events\":{events},\"failed\":0,\"wall_s\":{wall:.6},\"events_per_sec\":{:.1},\"unix_ts\":{ts},\"workers\":[{{\"w\":0,\"j\":1,\"e\":{events},\"busy_s\":{wall:.6}}}]}}",
+        "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"kernel_{label}\",\"jobs\":1,\"threads\":1,\"payload_mode\":\"{}\",\"events\":{events},\"failed\":0,\"wall_s\":{wall:.6},\"events_per_sec\":{:.1},\"unix_ts\":{ts},\"workers\":[{{\"w\":0,\"j\":1,\"e\":{events},\"busy_s\":{wall:.6}}}]}}",
         elanib_simcore::trace::git_rev(),
         elanib_simcore::payload_mode(),
         events as f64 / wall.max(1e-9),

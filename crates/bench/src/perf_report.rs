@@ -40,7 +40,6 @@ struct WallRecord {
     label: String,
     wall_s: f64,
     events_per_sec: Option<f64>,
-    shards: Option<f64>,
     threads: Option<f64>,
     jobs: Option<f64>,
     /// Per-worker `(jobs, events, busy_s)` from the schema-3 breakdown.
@@ -57,8 +56,6 @@ struct ProfileRecord {
     attribution_pct: f64,
     /// `(count, wall_ns)` per bucket, indexed like [`BUCKETS`].
     buckets: [(f64, f64); 4],
-    barrier_rounds: f64,
-    barrier_stall_ns: f64,
 }
 
 impl ProfileRecord {
@@ -129,7 +126,6 @@ fn parse_line(line: &str, h: &mut History) {
                 label,
                 wall_s,
                 events_per_sec: json_num_field(line, "events_per_sec"),
-                shards: json_num_field(line, "shards"),
                 threads: json_num_field(line, "threads"),
                 jobs: json_num_field(line, "jobs"),
                 workers: json_obj_array(line, "workers")
@@ -159,8 +155,6 @@ fn parse_line(line: &str, h: &mut History) {
                 events: json_num_field(line, "events").unwrap_or(0.0),
                 run_wall_ns: json_num_field(line, "run_wall_ns").unwrap_or(0.0),
                 attribution_pct: json_num_field(line, "attribution_pct").unwrap_or(0.0),
-                barrier_rounds: json_num_field(line, "barrier_rounds").unwrap_or(0.0),
-                barrier_stall_ns: json_num_field(line, "barrier_stall_ns").unwrap_or(0.0),
                 ..ProfileRecord::default()
             };
             for (i, b) in BUCKETS.iter().enumerate() {
@@ -307,14 +301,13 @@ pub fn generate(
         latest_prof.insert(p.exhibit.as_str(), p);
     }
     let mut rollup = [(0.0f64, 0.0f64); 4];
-    let (mut roll_run_ns, mut roll_stall_ns) = (0.0f64, 0.0f64);
+    let mut roll_run_ns = 0.0f64;
     for p in latest_prof.values() {
         for (r, b) in rollup.iter_mut().zip(p.buckets.iter()) {
             r.0 += b.0;
             r.1 += b.1;
         }
         roll_run_ns += p.run_wall_ns;
-        roll_stall_ns += p.barrier_stall_ns;
     }
 
     // ---- markdown ----
@@ -361,10 +354,9 @@ pub fn generate(
     if latest_prof.is_empty() {
         md.push_str("No profile records (run with ELANIB_PROFILE=1 to collect).\n\n");
     } else {
-        let total_attr: f64 = rollup.iter().map(|&(_, w)| w).sum::<f64>() + roll_stall_ns;
-        let total_measured = roll_run_ns + roll_stall_ns;
-        let pct = if total_measured > 0.0 {
-            100.0 * total_attr / total_measured
+        let total_attr: f64 = rollup.iter().map(|&(_, w)| w).sum();
+        let pct = if roll_run_ns > 0.0 {
+            100.0 * total_attr / roll_run_ns
         } else {
             100.0
         };
@@ -387,16 +379,7 @@ pub fn generate(
                 }
             ));
         }
-        md.push_str(&format!(
-            "| barrier | {:.0} rounds | {:.2} | — | {:.1}% |\n\n",
-            h.profiles.iter().map(|p| p.barrier_rounds).sum::<f64>(),
-            roll_stall_ns / 1e6,
-            if total_attr > 0.0 {
-                100.0 * roll_stall_ns / total_attr
-            } else {
-                0.0
-            }
-        ));
+        md.push('\n');
         md.push_str(&format!(
             "Attribution: **{pct:.1}%** of measured kernel wall time is in named buckets.\n\n"
         ));
@@ -415,18 +398,14 @@ pub fn generate(
         md.push('\n');
     }
 
-    md.push_str("## Shard / worker efficiency\n\n");
-    let sharded: Vec<&WallRecord> = h
-        .sweeps
-        .iter()
-        .filter(|r| !r.workers.is_empty() || r.shards.is_some())
-        .collect();
-    if sharded.is_empty() {
+    md.push_str("## Worker efficiency\n\n");
+    let pooled: Vec<&WallRecord> = h.sweeps.iter().filter(|r| !r.workers.is_empty()).collect();
+    if pooled.is_empty() {
         md.push_str("No sweep records with worker breakdowns (schema 3).\n\n");
     } else {
-        md.push_str("| label | threads | shards | jobs | events/s | worker balance |\n");
-        md.push_str("|---|---:|---:|---:|---:|---:|\n");
-        for r in sharded {
+        md.push_str("| label | threads | jobs | events/s | worker balance |\n");
+        md.push_str("|---|---:|---:|---:|---:|\n");
+        for r in pooled {
             let balance = if r.workers.len() > 1 {
                 let evs: Vec<f64> = r.workers.iter().map(|&(_, e, _)| e).collect();
                 let max = evs.iter().cloned().fold(0.0f64, f64::max);
@@ -440,10 +419,9 @@ pub fn generate(
                 "—".to_string()
             };
             md.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {balance} |\n",
+                "| {} | {} | {} | {} | {balance} |\n",
                 r.label,
                 r.threads.map_or("—".into(), |t| format!("{t:.0}")),
-                r.shards.map_or("—".into(), |s| format!("{s:.0}")),
                 r.jobs.map_or("—".into(), |j| format!("{j:.0}")),
                 r.events_per_sec.map_or("—".into(), fmt_eps),
             ));
@@ -521,8 +499,8 @@ pub fn generate(
                     .collect::<Vec<_>>()
                     .join(", ");
                 format!(
-                    "\"{e}\": {{\"events\": {:.0}, \"run_wall_ns\": {:.0}, \"attribution_pct\": {:.2}, \"barrier_stall_ns\": {:.0}, {buckets}}}",
-                    p.events, p.run_wall_ns, p.attribution_pct, p.barrier_stall_ns
+                    "\"{e}\": {{\"events\": {:.0}, \"run_wall_ns\": {:.0}, \"attribution_pct\": {:.2}, {buckets}}}",
+                    p.events, p.run_wall_ns, p.attribution_pct
                 )
             })
             .collect::<Vec<_>>()
@@ -600,6 +578,8 @@ mod tests {
             r1.markdown
         );
         assert!(r1.json.contains("\"attribution_pct\": 98.50"));
+        // The fixtures' `shards` and `barrier_*` keys are history only.
+        assert!(!r1.markdown.contains("barrier") && !r1.markdown.contains("shards"));
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -238,8 +238,8 @@ pub fn clear_memo() {
 /// longer matches the lookup key, so they self-invalidate as plain
 /// misses and the recompute overwrites them in place.
 ///
-/// v2: kernel hot-path flattening + conservative sharded engine
-/// (tagged-union event payloads; `run_until`/`pop_before` windowing).
+/// v2: kernel hot-path flattening (tagged-union event payloads,
+/// bounded `pop_before` windowing).
 /// Exhibit numbers are byte-identical, but entries written by the
 /// boxed-payload kernel predate the events/sec accounting the bench
 /// regression gate keys on, so they must not satisfy new lookups.

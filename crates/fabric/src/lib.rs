@@ -20,14 +20,12 @@
 pub mod fabric;
 pub mod faults;
 pub mod params;
-pub mod partition;
 pub mod routing;
 pub mod topology;
 
 pub use fabric::{CongStats, Fabric, WireOutcome};
 pub use faults::{FaultPlan, FaultStats};
 pub use params::{elan4, infiniband_4x, roce_ethernet, FabricParams, LinkParams, SwitchParams};
-pub use partition::Partition;
 pub use routing::Routes;
 pub use topology::{Edge, NodeRef, Topology};
 

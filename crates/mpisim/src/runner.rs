@@ -159,7 +159,7 @@ pub struct ScenarioRun {
     /// Fault-injection and recovery totals from the fabric.
     pub faults: FaultStats,
     /// Per-link byte totals, in link order — the determinism invariant
-    /// compares these byte-for-byte across serial/sharded and
+    /// compares these byte-for-byte across traced/profiled and
     /// cold/warm-cache replays.
     pub link_bytes: Vec<u64>,
 }

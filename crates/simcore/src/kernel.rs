@@ -77,11 +77,10 @@
 //!   instead of scheduling a needless second one in the next batch
 //!   (`ELANIB_WAKE_COALESCE=off` restores batch-time clearing).
 //!
-//! [`Sim::run_until`] bounds the dispatch loop to a time window,
-//! leaving out-of-window events in the wheel with its anchor held at
-//! the last dispatched instant, so events delivered from outside the
-//! kernel between windows schedule normally; the conservative sharded
-//! engine in [`crate::shard`] drives one kernel per shard with it.
+//! [`Sim::run_until_budget`] bounds the dispatch loop at a simulated
+//! time, leaving later events in the wheel with its anchor held at the
+//! last dispatched instant, so a run stopped at its budget can still
+//! be inspected, or resumed under a larger one.
 
 use std::alloc::Layout;
 use std::cell::{Cell, RefCell};
@@ -684,8 +683,8 @@ type TraceCallback = Box<dyn FnMut(SimTime, &str)>;
 struct Kernel {
     now: SimTime,
     /// Pending events in `(time, seq)` order; sequence numbers are
-    /// assigned by the wheel in push order. A [`Sim::run_until`] window
-    /// boundary leaves out-of-window events in place
+    /// assigned by the wheel in push order. A
+    /// [`Sim::run_until_budget`] limit leaves later events in place
     /// ([`TimerWheel::pop_before`]), so the wheel alone is the pending
     /// set — there is no side stash.
     queue: TimerWheel<EventPayload>,
@@ -1263,7 +1262,8 @@ impl Sim {
         true
     }
 
-    /// The dispatch loop shared by [`Sim::run`] and [`Sim::run_until`]:
+    /// The dispatch loop shared by [`Sim::run`] and
+    /// [`Sim::run_until_budget`]:
     /// process events in `(time, seq)` order while their time precedes
     /// `limit` (all events when `limit` is `None`). Returns the time of
     /// the first event at or past the limit — left undisturbed in the
@@ -1437,20 +1437,6 @@ impl Sim {
             k.now
         };
         Ok(now)
-    }
-
-    /// Drive the simulation up to (exclusive) `limit`: every pending
-    /// event with time < `limit` is dispatched, then the loop stops
-    /// and reports the time of the earliest remaining event (`None` if
-    /// the queue drained). The clock stays at the last dispatched
-    /// event — it does **not** jump to the limit — and suspended tasks
-    /// are *not* a deadlock here: they may be waiting on input a later
-    /// window injects. This is the primitive the conservative sharded
-    /// engine ([`crate::shard`]) builds barrier windows from.
-    pub fn run_until(&self, limit: SimTime) -> Option<SimTime> {
-        let next = self.run_events(Some(limit));
-        self.publish_counters();
-        next
     }
 
     /// Publish this run's event count to the per-thread counter the
@@ -2236,9 +2222,10 @@ mod tests {
     }
 
     #[test]
-    fn run_until_windows_compose_to_a_full_run() {
-        // Drive the same program in 1 µs windows and in one shot; the
-        // window hand-off must not reorder anything.
+    fn budget_windows_compose_to_a_full_run() {
+        // Drive the same program under budgets raised 1 µs past each
+        // reported next event, and in one shot; stopping at a budget and
+        // resuming must not reorder anything.
         fn program(sim: &Sim, log: Rc<RefCell<Vec<u64>>>) {
             for i in 0..6u64 {
                 let s = sim.clone();
@@ -2255,8 +2242,8 @@ mod tests {
             let sim = Sim::new(3);
             let log = Rc::new(RefCell::new(Vec::new()));
             program(&sim, log.clone());
-            sim.run().unwrap();
-            let out = (log.borrow().clone(), sim.events_processed());
+            let end = sim.run().unwrap();
+            let out = (log.borrow().clone(), sim.events_processed(), end);
             out
         };
         let windowed = {
@@ -2265,31 +2252,36 @@ mod tests {
             program(&sim, log.clone());
             let mut limit = SimTime::ZERO + Dur::from_us(1);
             let mut rounds = 0;
-            while let Some(next) = sim.run_until(limit) {
-                assert!(next >= limit, "reported event precedes the window limit");
-                limit = next + Dur::from_us(1);
-                rounds += 1;
-            }
+            let end = loop {
+                match sim.run_until_budget(limit) {
+                    Ok(end) => break end,
+                    Err(SimError::ScenarioTimeout { next, .. }) => {
+                        assert!(next >= limit, "reported event precedes the limit");
+                        limit = next + Dur::from_us(1);
+                        rounds += 1;
+                    }
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+            };
             assert!(rounds >= 2, "expected multiple windows, got {rounds}");
-            // Nothing pending: a full run() completes without
-            // dispatching anything further.
-            let end = sim.run().unwrap();
-            assert_eq!(end, sim.now());
-            let out = (log.borrow().clone(), sim.events_processed());
+            let out = (log.borrow().clone(), sim.events_processed(), end);
             out
         };
         assert_eq!(whole, windowed);
     }
 
     #[test]
-    fn run_until_at_limit_zero_reports_first_event_time() {
+    fn zero_budget_reports_first_event_time() {
         let sim = Sim::new(1);
         let s = sim.clone();
         sim.spawn("t", async move {
             s.sleep(Dur::from_ns(40)).await;
         });
-        // Limit 0: nothing dispatches, the spawn event stays queued.
-        assert_eq!(sim.run_until(SimTime::ZERO), Some(SimTime::ZERO));
+        // Budget 0: nothing dispatches, the spawn event stays queued.
+        match sim.run_until_budget(SimTime::ZERO) {
+            Err(SimError::ScenarioTimeout { next, .. }) => assert_eq!(next, SimTime::ZERO),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
         assert_eq!(sim.events_processed(), 0);
         sim.run().unwrap();
         assert_eq!(sim.now(), SimTime::ZERO + Dur::from_ns(40));

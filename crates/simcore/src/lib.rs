@@ -55,7 +55,6 @@ pub mod fxhash;
 pub mod kernel;
 pub mod profile;
 pub mod resources;
-pub mod shard;
 pub mod sync;
 pub mod time;
 pub mod wheel;
@@ -73,10 +72,6 @@ pub use kernel::{
 };
 pub use profile::KernelProfiler;
 pub use resources::{ChannelStats, FifoChannel, PsResource};
-pub use shard::{
-    adaptive_lookahead, des_shards, run_sharded, run_sharded_with, HorizonPlan, Lookahead, Outbox,
-    ShardModel, ShardMsg, ShardObs, ShardRunStats,
-};
 pub use sync::{race2, Flag, Mailbox, Race2, Semaphore};
 pub use time::{Dur, SimTime};
 pub use wheel::TimerWheel;

@@ -216,11 +216,10 @@ impl<T> TimerWheel<T> {
     ///   limit`. **Nothing is removed and the anchor does not move**,
     ///   so the caller may keep pushing events at or after the most
     ///   recently *popped* expiry — including into `[now, at)` — and
-    ///   pop again later. This is what lets a windowed driver
-    ///   ([`Sim::run_until`](crate::Sim::run_until)) stop at a window
-    ///   boundary and inject externally-delivered events into the next
-    ///   window without the wheel having committed to the out-of-window
-    ///   minimum.
+    ///   pop again later. This is what lets a bounded run
+    ///   ([`Sim::run_until_budget`](crate::Sim::run_until_budget)) stop
+    ///   at its limit without the wheel having committed to the
+    ///   out-of-limit minimum.
     pub fn pop_before(&mut self, limit: u64) -> Result<Option<(u64, T)>, u64> {
         self.pop_impl::<true>(limit)
     }

@@ -220,7 +220,7 @@ pub enum Expectation {
     /// A cross-cutting scenario invariant: `series` must equal another
     /// column (or a constant) **exactly**, row by row — no tolerance,
     /// no factor. This is the fuzzer's primitive: byte conservation is
-    /// `sent == delivered`, determinism is `serial digest == sharded
+    /// `sent == delivered`, determinism is `run digest == replay
     /// digest`, no-deadlock is `failures == 0`. Distinct from
     /// `within_factor` (which tolerates and requires positive values)
     /// because an invariant that "almost" holds is a bug.
