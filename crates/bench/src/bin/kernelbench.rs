@@ -9,7 +9,10 @@
 //!
 //! Runs in under a second; CI runs it inside the throughput-gate stage
 //! so a dispatch-path or allocation regression is visible right next
-//! to the rolled-up events/s numbers it would eventually sink.
+//! to the rolled-up events/s numbers it would eventually sink. It exits
+//! non-zero when `calls`, `pingpong` or `model` allocates more per
+//! event than its budget (`MAX_ALLOCS_PER_EVENT_*`): allocation counts
+//! are deterministic, so that gate is hard.
 //!
 //! Diagnostics: set `ALLOCPROBE_BT=<size>` to print a sampled
 //! backtrace of every 20000th allocation of exactly `<size>` bytes —
@@ -18,7 +21,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
+use elanib_core::sweep::WorkerStat;
+use elanib_core::SweepStats;
 use elanib_simcore::{Dur, Sim};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -63,48 +69,72 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
+/// Allocation gates, in allocations per dispatched event. Allocation
+/// counts are deterministic, so unlike wall time they can fail a run
+/// outright. Each budget sits a few times above the scenario's current
+/// figure (calls 0.003, pingpong 0.006, model 0.067) and far below
+/// what it measures with one dispatch fast path replaced by a plain
+/// allocation, so losing any of them trips the gate:
+///
+/// * boxed call closures instead of the inline call slab: calls 1.003,
+///   model 0.431;
+/// * a fresh `Rc` per `Flag` instead of the flag pool: pingpong 1.005,
+///   model 0.435;
+/// * a plain box per spawned future instead of the future pool:
+///   model 0.168.
+const MAX_ALLOCS_PER_EVENT_CALLS: f64 = 0.01;
+const MAX_ALLOCS_PER_EVENT_PINGPONG: f64 = 0.01;
+const MAX_ALLOCS_PER_EVENT_MODEL: f64 = 0.10;
+
 /// Append a sweep-shaped BENCH record for one scenario so the CI
 /// events/s gate can judge kernel dispatch throughput directly,
 /// best-on-record style, next to the exhibit sweeps. No-op unless
-/// `ELANIB_BENCH_JSON` is set (same contract as `SweepStats::record`).
-fn record(label: &str, events: u64, wall: f64) {
-    let Ok(path) = std::env::var("ELANIB_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
+/// `ELANIB_BENCH_JSON` is set.
+fn record(label: &str, events: u64, wall: Duration) {
+    SweepStats {
+        jobs: 1,
+        threads: 1,
+        events,
+        wall,
+        failed: 0,
+        failures: Vec::new(),
+        per_worker: vec![WorkerStat {
+            worker: 0,
+            jobs: 1,
+            events,
+            busy: wall,
+        }],
+        per_item_events: vec![events],
     }
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let line = format!(
-        "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"kernel_{label}\",\"jobs\":1,\"threads\":1,\"payload_mode\":\"{}\",\"events\":{events},\"failed\":0,\"wall_s\":{wall:.6},\"events_per_sec\":{:.1},\"unix_ts\":{ts},\"workers\":[{{\"w\":0,\"j\":1,\"e\":{events},\"busy_s\":{wall:.6}}}]}}",
-        elanib_simcore::trace::git_rev(),
-        elanib_simcore::payload_mode(),
-        events as f64 / wall.max(1e-9),
-    );
-    let _ = elanib_simcore::trace::jsonl::append_line(std::path::Path::new(&path), &line);
+    .record(&format!("kernel_{label}"));
 }
 
-/// Build a scenario on a fresh sim, run it to completion, and report
-/// events, wall time, events/s, and allocations per event.
-fn scenario(name: &str, build: impl FnOnce(&Sim)) {
+/// Run `body` and report the events it dispatched on this thread, its
+/// wall time, events/s and allocations per event; `body` returns any
+/// extra text for the line. Returns allocations per event.
+fn measure(name: &str, body: impl FnOnce() -> String) -> f64 {
     let e0 = elanib_simcore::thread_events();
     let a0 = ALLOCS.load(Ordering::Relaxed);
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
+    let extra = body();
+    let wall = t0.elapsed();
+    let events = elanib_simcore::thread_events() - e0;
+    let allocs_per_event = (ALLOCS.load(Ordering::Relaxed) - a0) as f64 / events as f64;
+    println!(
+        "{name:8} events={events:9} wall={:7.3}s  ev/s={:7.2}M  allocs/event={allocs_per_event:.3}{extra}",
+        wall.as_secs_f64(),
+        events as f64 / wall.as_secs_f64() / 1e6,
+    );
+    record(name, events, wall);
+    allocs_per_event
+}
+
+/// Build a scenario on a fresh sim and run it to completion.
+fn run(build: fn(&Sim)) -> String {
     let sim = Sim::new(7);
     build(&sim);
     sim.run().unwrap();
-    let wall = t0.elapsed().as_secs_f64();
-    let events = elanib_simcore::thread_events() - e0;
-    let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
-    println!(
-        "{name:8} events={events:9} wall={wall:7.3}s  ev/s={:7.2}M  allocs/event={:.3}",
-        events as f64 / wall / 1e6,
-        allocs as f64 / events as f64,
-    );
-    record(name, events, wall);
+    String::new()
 }
 
 /// Direct timer dispatch: every event is a `Delay` firing straight
@@ -173,30 +203,21 @@ fn main() {
     if let Ok(s) = std::env::var("ALLOCPROBE_BT") {
         PROBE_SIZE.store(s.parse().unwrap_or(0), Ordering::Relaxed);
     }
-    scenario("timers", timers);
-    scenario("calls", calls);
-    scenario("pingpong", pingpong);
+    measure("timers", || run(timers));
+    let calls_allocs = measure("calls", || run(calls));
+    let pingpong_allocs = measure("pingpong", || run(pingpong));
 
     // End-to-end reference: one fig2-shaped MD point, uncached.
     std::env::set_var("ELANIB_CACHE", "off");
-    let e0 = elanib_simcore::thread_events();
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let t0 = std::time::Instant::now();
-    let t = elanib_apps::md::proxy::md_step_time(
-        elanib_mpi::Network::InfiniBand,
-        elanib_apps::md::proxy::ljs(),
-        32,
-        2,
-    );
-    let wall = t0.elapsed().as_secs_f64();
-    let events = elanib_simcore::thread_events() - e0;
-    let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
-    println!(
-        "model    events={events:9} wall={wall:7.3}s  ev/s={:7.2}M  allocs/event={:.3}  step_s={t:.6}",
-        events as f64 / wall / 1e6,
-        allocs as f64 / events as f64,
-    );
-    record("model", events, wall);
+    let model_allocs = measure("model", || {
+        let t = elanib_apps::md::proxy::md_step_time(
+            elanib_mpi::Network::InfiniBand,
+            elanib_apps::md::proxy::ljs(),
+            32,
+            2,
+        );
+        format!("  step_s={t:.6}")
+    });
     println!(
         "waker_allocs={}  (thread total)",
         elanib_simcore::kernel::thread_waker_allocs()
@@ -211,5 +232,23 @@ fn main() {
     exact.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     for (s, c) in exact.iter().take(10) {
         println!("  exactly {s:4} B x {c}");
+    }
+
+    let gates = [
+        ("calls", calls_allocs, MAX_ALLOCS_PER_EVENT_CALLS),
+        ("pingpong", pingpong_allocs, MAX_ALLOCS_PER_EVENT_PINGPONG),
+        ("model", model_allocs, MAX_ALLOCS_PER_EVENT_MODEL),
+    ];
+    let mut over = 0;
+    for (name, got, max) in gates {
+        let verdict = if got > max { "FAIL" } else { "ok" };
+        println!("alloc gate {name:8} {got:.3} allocs/event (max {max}) {verdict}");
+        if got > max {
+            over += 1;
+        }
+    }
+    if over > 0 {
+        eprintln!("kernelbench: {over} scenario(s) over their allocation budget");
+        std::process::exit(1);
     }
 }

@@ -57,12 +57,13 @@
 //!   [`Sim::call_at`] closures park in a kernel slab so the wheel
 //!   moves plain words, never boxes. Dispatch pops the event *and*
 //!   extracts the target future/closure under a single kernel borrow;
-//! * small [`Sim::call_at`] closures (≤ 48 bytes of captures — every
+//! * small [`Sim::call_at`] closures (≤ 96 bytes of captures — every
 //!   hot closure in the model) are stored inline in the call slab
 //!   instead of boxed, so the per-message completion callbacks and
 //!   processor-sharing reschedules that dominate the `call` bucket
-//!   stop churning the allocator (`ELANIB_CALL_ARENA=off` restores
-//!   the boxed path for A/B);
+//!   stop churning the allocator;
+//! * spawned futures live in per-thread size-class pools
+//!   ([`PooledFut`]), so per-message helper tasks reuse their blocks;
 //! * per-sim transient strings (task names) live in a bump arena that
 //!   resets when the last live task completes, and [`Sim::spawn_fmt`]
 //!   formats a name straight into the arena with no intermediate
@@ -74,8 +75,11 @@
 //!   cleared per task immediately before its poll rather than for the
 //!   whole batch up front, so a wake raised *while the batch drains*
 //!   for a not-yet-polled task coalesces into the pending poll
-//!   instead of scheduling a needless second one in the next batch
-//!   (`ELANIB_WAKE_COALESCE=off` restores batch-time clearing).
+//!   instead of scheduling a needless second one in the next batch.
+//!
+//! `tests/reference_kernel.rs` checks these paths against a naive
+//! `BinaryHeap` executor: the same programs, randomized ones included,
+//! must give the same event log, end clock and event count.
 //!
 //! [`Sim::run_until_budget`] bounds the dispatch loop at a simulated
 //! time, leaving later events in the wheel with its anchor held at the
@@ -152,12 +156,6 @@ impl Drop for FutPool {
 
 thread_local! {
     static FUT_POOL: RefCell<FutPool> = const { RefCell::new(FutPool([const { Vec::new() }; FUT_CLASSES.len()])) };
-    /// Lazily-read `ELANIB_FUT_POOL` gate (`off`/`0` disables pooling;
-    /// every future then lives in a plain box).
-    static FUT_POOL_ON: bool = !matches!(
-        std::env::var("ELANIB_FUT_POOL").as_deref(),
-        Ok("off") | Ok("0")
-    );
 }
 
 /// An owned, type-erased task future whose heap block is recycled
@@ -178,7 +176,7 @@ struct PooledFut {
 impl PooledFut {
     fn new<F: Future<Output = ()> + 'static>(fut: F) -> PooledFut {
         let size = std::mem::size_of::<F>();
-        if std::mem::align_of::<F>() <= FUT_ALIGN && FUT_POOL_ON.with(|&on| on) {
+        if std::mem::align_of::<F>() <= FUT_ALIGN {
             if let Some(class) = FUT_CLASSES.iter().position(|&c| size <= c) {
                 let layout = Layout::from_size_align(FUT_CLASSES[class], FUT_ALIGN).unwrap();
                 let block = FUT_POOL
@@ -202,7 +200,7 @@ impl PooledFut {
                 };
             }
         }
-        // Oversized or overaligned (or pool disabled): plain box.
+        // Oversized or overaligned: plain box.
         let raw = Box::into_raw(Box::new(fut) as Box<dyn Future<Output = ()>>);
         PooledFut {
             // SAFETY: `Box::into_raw` never returns null.
@@ -263,21 +261,17 @@ enum EventPayload {
     /// the task id directly, so timer expiry polls the task without a
     /// waker clone or a wake-queue round trip.
     Poll(TaskId),
-    /// Fire a stored waker — the fallback timer path, used when a
-    /// [`Delay`] is polled from outside a kernel task (or always, in
-    /// `legacy` payload mode — see [`payload_mode`]).
-    Timer(Waker),
     /// Run the closure parked in the kernel's call slab at this index.
     Call(u32),
 }
 
 impl EventPayload {
-    /// Profiler bucket index (see [`crate::profile::TAG_NAMES`]).
+    /// Profiler bucket index (see [`crate::profile::TAG_NAMES`]). The
+    /// `timer` bucket (1) stays empty: timer expiry is a `Poll`.
     #[inline]
     fn tag(&self) -> usize {
         match self {
             EventPayload::Poll(_) => 0,
-            EventPayload::Timer(_) => 1,
             EventPayload::Call(_) => 2,
         }
     }
@@ -293,10 +287,10 @@ pub const FLIGHT_LEN: usize = 64;
 pub struct FlightEntry {
     /// Dispatch instant, simulated picoseconds.
     pub at_ps: u64,
-    /// Event kind: 0 = poll, 1 = timer, 2 = call
+    /// Event kind: 0 = poll, 2 = call, the profiler's tag numbering
     /// ([`flight_kind_name`]).
     pub kind: u8,
-    /// Task slot (poll) or call slot (call); 0 for timer wakers.
+    /// Task slot (poll) or call slot (call).
     pub idx: u32,
 }
 
@@ -304,7 +298,6 @@ pub struct FlightEntry {
 pub fn flight_kind_name(kind: u8) -> &'static str {
     match kind {
         0 => "poll",
-        1 => "timer",
         2 => "call",
         _ => "?",
     }
@@ -343,11 +336,11 @@ impl FlightRing {
 
     #[inline]
     fn record(&mut self, at_ps: u64, payload: &EventPayload) {
-        let (kind, idx) = match payload {
-            EventPayload::Poll(id) => (0u8, id.idx),
-            EventPayload::Timer(_) => (1, 0),
-            EventPayload::Call(i) => (2, *i),
+        let idx = match payload {
+            EventPayload::Poll(id) => id.idx,
+            EventPayload::Call(i) => *i,
         };
+        let kind = payload.tag() as u8;
         let slot = (self.written % FLIGHT_LEN as u64) as usize;
         self.buf[slot] = FlightEntry { at_ps, kind, idx };
         self.written += 1;
@@ -360,78 +353,6 @@ impl FlightRing {
         (0..n)
             .map(|k| self.buf[((start + k) % FLIGHT_LEN as u64) as usize])
             .collect()
-    }
-}
-
-/// How timer events are represented, selectable per-[`Sim`] (the
-/// `ELANIB_PAYLOAD_MODE` environment variable sets the default). The
-/// observable event order is identical in both modes — locked by the
-/// payload-model proptest and the tier-2 byte-identity check — so
-/// `Legacy` exists purely as the A/B baseline for the flattened path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PayloadMode {
-    /// Tagged-union fast path: timer expiry polls the sleeping task
-    /// directly ([`EventPayload::Poll`]).
-    Tagged,
-    /// Pre-flattening behavior: every timer clones the task waker and
-    /// detours through the wake queue's mutex.
-    Legacy,
-}
-
-/// The payload mode new simulations default to: `"legacy"` when
-/// `ELANIB_PAYLOAD_MODE=legacy`, else `"tagged"`. Sweep perf records
-/// carry this string so A/B trajectories stay attributable.
-pub fn payload_mode() -> &'static str {
-    match default_payload_mode() {
-        PayloadMode::Legacy => "legacy",
-        PayloadMode::Tagged => "tagged",
-    }
-}
-
-fn default_payload_mode() -> PayloadMode {
-    match std::env::var("ELANIB_PAYLOAD_MODE") {
-        Ok(v) if v == "legacy" => PayloadMode::Legacy,
-        _ => PayloadMode::Tagged,
-    }
-}
-
-/// Dispatch-path tuning knobs, all defaulting to the fast paths and
-/// individually revertible from the environment so every optimization
-/// keeps an A/B baseline alive:
-///
-/// * `call_arena` — store small [`Sim::call_at`] closures inline in
-///   the call slab instead of boxing each one
-///   (`ELANIB_CALL_ARENA=off` reverts to boxes);
-/// * `wake_coalesce` — clear wake-dedup marks per task right before
-///   its poll so same-instant wakes coalesce *across* drain batches
-///   (`ELANIB_WAKE_COALESCE=off` reverts to batch-time clearing).
-#[derive(Clone, Copy, Debug)]
-pub struct SimOpts {
-    pub payload_mode: PayloadMode,
-    pub call_arena: bool,
-    pub wake_coalesce: bool,
-}
-
-impl SimOpts {
-    /// Options as configured by the environment (the defaults
-    /// [`Sim::new`] uses).
-    pub fn from_env() -> SimOpts {
-        let off = |var: &str| matches!(std::env::var(var).as_deref(), Ok("off") | Ok("0"));
-        SimOpts {
-            payload_mode: default_payload_mode(),
-            call_arena: !off("ELANIB_CALL_ARENA"),
-            wake_coalesce: !off("ELANIB_WAKE_COALESCE"),
-        }
-    }
-}
-
-impl Default for SimOpts {
-    fn default() -> SimOpts {
-        SimOpts {
-            payload_mode: PayloadMode::Tagged,
-            call_arena: true,
-            wake_coalesce: true,
-        }
     }
 }
 
@@ -570,8 +491,8 @@ enum CallSlot {
     Vacant,
     /// Small closure stored inline — no allocation.
     Inline(InlineCall),
-    /// Fallback: closure too large/aligned for the inline arena, or
-    /// the arena is disabled (`ELANIB_CALL_ARENA=off`).
+    /// Fallback: closure too large or over-aligned for the inline
+    /// arena.
     Boxed(BoxCall),
 }
 
@@ -612,8 +533,8 @@ struct WakeState {
     /// Tasks woken since the last drain, in wake order.
     ready: Vec<TaskId>,
     /// Dedup marks: `queued[idx] == gen as u64 + 1` iff `(idx, gen)`
-    /// is already in `ready`. 0 = not queued. Cleared at drain time
-    /// under the same lock acquisition that swaps the batch out.
+    /// is already in `ready` and not yet polled. 0 = not queued.
+    /// Cleared per task just before the drain polls it.
     ///
     /// The marks are one wider than the `u32` generation on purpose:
     /// `gen + 1` can then never wrap to 0, the not-queued sentinel. A
@@ -701,8 +622,6 @@ struct Kernel {
     calls: Vec<CallSlot>,
     /// Recycled call-slab indices.
     call_free: Vec<u32>,
-    /// Store small call closures inline ([`SimOpts::call_arena`]).
-    call_arena: bool,
     /// Count of waker `Arc`s actually allocated (spawns minus
     /// recycles) — observability for the recycling fast path.
     waker_allocs: u64,
@@ -710,7 +629,6 @@ struct Kernel {
     /// registers for direct timer dispatch.
     current: Option<TaskId>,
     names: NameArena,
-    payload_mode: PayloadMode,
     live_tasks: usize,
     rng: StdRng,
     events_processed: u64,
@@ -766,9 +684,6 @@ pub struct Sim {
     /// construction. Same zero-cost-when-off discipline as `tr`: the
     /// hot loop pays one null check per dispatch when disabled.
     prof: Option<Rc<KernelProfiler>>,
-    /// Clear wake-dedup marks per task just before its poll
-    /// ([`SimOpts::wake_coalesce`]) instead of per batch at swap time.
-    wake_coalesce: bool,
 }
 
 /// One entry of a [`SimError::Deadlock`] report.
@@ -886,26 +801,8 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 impl Sim {
-    /// Create a simulation whose RNG is seeded with `seed`. The timer
-    /// payload mode follows `ELANIB_PAYLOAD_MODE` (default: tagged);
-    /// the dispatch-path knobs follow their env vars ([`SimOpts`]).
+    /// Create a simulation whose RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Sim {
-        Sim::with_opts(seed, SimOpts::from_env())
-    }
-
-    /// Create a simulation with an explicit timer [`PayloadMode`] —
-    /// the hook the payload-model tests and A/B harnesses use to pin a
-    /// mode regardless of environment.
-    pub fn with_payload_mode(seed: u64, payload_mode: PayloadMode) -> Sim {
-        let mut opts = SimOpts::from_env();
-        opts.payload_mode = payload_mode;
-        Sim::with_opts(seed, opts)
-    }
-
-    /// Create a simulation with every dispatch-path knob pinned —
-    /// what the A/B tests use to compare fast and fallback paths
-    /// regardless of environment.
-    pub fn with_opts(seed: u64, opts: SimOpts) -> Sim {
         Sim {
             k: Rc::new(RefCell::new(Kernel {
                 now: SimTime::ZERO,
@@ -916,11 +813,9 @@ impl Sim {
                 free: Vec::new(),
                 calls: Vec::new(),
                 call_free: Vec::new(),
-                call_arena: opts.call_arena,
                 waker_allocs: 0,
                 current: None,
                 names: NameArena::default(),
-                payload_mode: opts.payload_mode,
                 live_tasks: 0,
                 rng: StdRng::seed_from_u64(seed),
                 events_processed: 0,
@@ -933,7 +828,6 @@ impl Sim {
             drain_buf: Rc::new(RefCell::new(Vec::new())),
             tr: elanib_trace::Tracer::from_config(seed),
             prof: KernelProfiler::from_config(),
-            wake_coalesce: opts.wake_coalesce,
         }
     }
 
@@ -1133,49 +1027,23 @@ impl Sim {
         k.push_call(at, f);
     }
 
-    /// Schedule a timer at `at` for the task currently being polled —
-    /// the direct-dispatch path [`Delay`] prefers: the expiry event
-    /// carries the (generation-checked) task id itself, so firing it
-    /// polls the task without cloning a waker or detouring through the
-    /// wake queue. Returns false when there is no current task (the
-    /// delay is being polled from outside the kernel) or the sim runs
-    /// in legacy payload mode; the caller then falls back to
-    /// [`Sim::schedule_timer`].
-    ///
-    /// Order equivalence with the waker path: a popped `Timer` waker
-    /// enqueues its task and the run loop drains that single wake
-    /// before popping another event, so in both representations the
-    /// task is polled after every earlier event and before every later
-    /// one — the payload-model proptest and the tier-2 byte-identity
-    /// check both lock this.
-    fn schedule_timer_direct(&self, at: SimTime) -> bool {
+    /// Schedule a timer `dur` from now for the task currently being
+    /// polled and return its deadline. The expiry event carries the
+    /// (generation-checked) task id itself, so firing it polls the
+    /// task without cloning a waker or detouring through the wake
+    /// queue.
+    fn schedule_timer_direct(&self, dur: Dur) -> SimTime {
         let mut k = self.k.borrow_mut();
-        if k.payload_mode == PayloadMode::Legacy {
-            return false;
-        }
-        let Some(id) = k.current else {
-            return false;
-        };
-        debug_assert!(at >= k.now, "timer into the past");
+        let id = k
+            .current
+            .expect("Sim::sleep awaited outside a simulation task");
+        let at = k.now + dur;
         k.push(at, EventPayload::Poll(id));
         drop(k);
         if let Some(tr) = &self.tr {
             tr.add("sim.timers", 1);
         }
-        true
-    }
-
-    /// Schedule `waker` to fire at `at` — the fallback timer path (and
-    /// the only one in legacy payload mode).
-    fn schedule_timer(&self, at: SimTime, waker: Waker) {
-        {
-            let mut k = self.k.borrow_mut();
-            debug_assert!(at >= k.now, "timer into the past");
-            k.push(at, EventPayload::Timer(waker));
-        }
-        if let Some(tr) = &self.tr {
-            tr.add("sim.timers", 1);
-        }
+        at
     }
 
     /// Future that completes after `d` of simulated time.
@@ -1199,10 +1067,9 @@ impl Sim {
     }
 
     /// Drain one batch of woken tasks and poll them in wake order.
-    /// Returns false when the queue was empty. One lock acquisition
-    /// and no allocation per batch: the queue's vector and the drain
-    /// buffer ping-pong, and dedup marks are cleared while the lock is
-    /// already held.
+    /// Returns false when the queue was empty. No allocation per
+    /// batch: the queue's vector and the drain buffer ping-pong. Each
+    /// task's dedup mark is cleared just before its poll.
     /// `mark` is the profiler's chained timestamp: when profiling, the
     /// span from `*mark` to the end of this batch is charged to the
     /// wake bucket and `*mark` advances, so consecutive segments
@@ -1215,19 +1082,12 @@ impl Sim {
         }
         let mut buf = self.drain_buf.borrow_mut();
         debug_assert!(buf.is_empty());
-        let coalesce = self.wake_coalesce;
         {
             let mut q = self.wakes.state.lock().unwrap();
             if q.ready.is_empty() {
                 return false;
             }
-            let WakeState { ready, queued } = &mut *q;
-            std::mem::swap(ready, &mut *buf);
-            if !coalesce {
-                for id in buf.iter() {
-                    queued[id.idx as usize] = 0;
-                }
-            }
+            std::mem::swap(&mut q.ready, &mut *buf);
             self.wakes.nonempty.store(false, Ordering::Release);
         }
         if let Some(tr) = &self.tr {
@@ -1237,14 +1097,14 @@ impl Sim {
         // never this drain, so holding the buffer borrow is safe.
         for i in 0..buf.len() {
             let id = buf[i];
-            if coalesce {
-                // Unmark this task only now, just before its poll: a
-                // wake raised while the earlier part of the batch was
-                // polling coalesces into this still-pending poll
-                // (which will observe the wake's state change) instead
-                // of re-queueing a needless second poll. A wake raised
-                // *during or after* the poll re-queues, as it must —
-                // it may arrive after the task decided to suspend.
+            // Unmark this task only now, just before its poll: a wake
+            // raised while the earlier part of the batch was polling
+            // coalesces into this still-pending poll (which will
+            // observe the wake's state change) instead of re-queueing
+            // a needless second poll. A wake raised *during or after*
+            // the poll re-queues, as it must — it may arrive after the
+            // task decided to suspend.
+            {
                 let mut q = self.wakes.state.lock().unwrap();
                 let mark = id.gen as u64 + 1;
                 if q.queued[id.idx as usize] == mark {
@@ -1271,6 +1131,7 @@ impl Sim {
     /// be scheduled anywhere at or after `now` — or `None` when no
     /// events remain.
     fn run_events(&self, limit: Option<SimTime>) -> Option<SimTime> {
+        let _guard = UnwindGuard(self);
         match self.prof.clone() {
             None => self.run_events_inner(limit, None),
             Some(p) => {
@@ -1337,7 +1198,6 @@ impl Sim {
                                 // completed: nothing to do.
                                 None => Action::Skip,
                             },
-                            EventPayload::Timer(w) => Action::Wake(w),
                             EventPayload::Call(i) => Action::Call(k.take_call(i)),
                         };
                         (action, tag, sample)
@@ -1347,7 +1207,6 @@ impl Sim {
             };
             match action {
                 Action::Poll(id, fut, w, prev) => self.poll_taken(id, fut, w, prev),
-                Action::Wake(w) => w.wake(),
                 Action::Call(slot) => slot.run(self),
                 Action::Skip => {}
             }
@@ -1555,12 +1414,34 @@ impl Sim {
     }
 }
 
+/// Drops a panicking run's parked futures and calls. Live tasks hold
+/// `Sim` clones, so without this the kernel's `Rc` cycle outlives the
+/// caught panic and leaks the whole simulation. A run that panicked
+/// cannot be resumed.
+struct UnwindGuard<'a>(&'a Sim);
+
+impl Drop for UnwindGuard<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let Ok(mut k) = self.0.k.try_borrow_mut() else {
+            return;
+        };
+        let futs: Vec<BoxFuture> = k.hot.iter_mut().filter_map(|h| h.fut.take()).collect();
+        let calls = std::mem::take(&mut k.calls);
+        // Their destructors may touch the kernel: release it first.
+        drop(k);
+        drop(futs);
+        drop(calls);
+    }
+}
+
 /// What one popped event resolved to under the dispatch borrow; the
 /// borrow is released before the action runs (the action re-enters
 /// the kernel freely).
 enum Action {
     Poll(TaskId, BoxFuture, Waker, Option<TaskId>),
-    Wake(Waker),
     Call(CallSlot),
     Skip,
 }
@@ -1572,11 +1453,9 @@ impl Kernel {
 
     /// Park a closure in the call slab and schedule the slot index.
     /// Small captures go into the slot's inline arena (no allocation);
-    /// oversized or over-aligned ones — and everything when
-    /// `ELANIB_CALL_ARENA=off` — are boxed.
+    /// oversized or over-aligned ones are boxed.
     fn push_call<F: FnOnce(&Sim) + 'static>(&mut self, at: SimTime, f: F) {
-        let slot = if self.call_arena
-            && std::mem::size_of::<F>() <= CALL_INLINE_BYTES
+        let slot = if std::mem::size_of::<F>() <= CALL_INLINE_BYTES
             && std::mem::align_of::<F>() <= std::mem::align_of::<u64>()
         {
             /// Move the capture out of the slot and run it.
@@ -1630,21 +1509,15 @@ pub struct Delay {
 
 impl Future for Delay {
     type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
         match this.deadline {
             None => {
                 if this.dur.is_zero() {
                     return Poll::Ready(());
                 }
-                let deadline = this.sim.now() + this.dur;
-                this.deadline = Some(deadline);
-                // Tagged fast path: the expiry event polls the current
-                // task directly. Falls back to the stored-waker event
-                // when polled outside a kernel task or in legacy mode.
-                if !this.sim.schedule_timer_direct(deadline) {
-                    this.sim.schedule_timer(deadline, cx.waker().clone());
-                }
+                // The expiry event polls the current task directly.
+                this.deadline = Some(this.sim.schedule_timer_direct(this.dur));
                 Poll::Pending
             }
             Some(d) => {
@@ -1652,7 +1525,7 @@ impl Future for Delay {
                     Poll::Ready(())
                 } else {
                     // Spurious poll before the timer fired; the timer
-                    // event holds our original waker, so just wait.
+                    // event will poll this task again, so just wait.
                     Poll::Pending
                 }
             }
@@ -2121,50 +1994,28 @@ mod tests {
         assert_eq!(polls.get(), 2, "dedup must collapse simultaneous wakes");
     }
 
-    /// A dense little program exercising timers, flags, nested spawns
-    /// and call events; returns an order-sensitive checksum plus the
-    /// kernel's observable totals.
-    fn mixed_program(mode: PayloadMode) -> (SimTime, u64, u64) {
-        let sim = Sim::with_payload_mode(7, mode);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..8u64 {
-            let s = sim.clone();
-            let l = log.clone();
-            sim.spawn(format!("t{i}"), async move {
-                s.sleep(Dur::from_ns(10 + i % 3)).await;
-                l.borrow_mut().push(i);
-                let flag = crate::sync::Flag::new();
-                let f2 = flag.clone();
-                let s2 = s.clone();
-                let l2 = l.clone();
-                s.spawn(format!("n{i}"), async move {
-                    s2.sleep(Dur::from_ns(i)).await;
-                    l2.borrow_mut().push(100 + i);
-                    f2.set();
-                });
-                flag.wait().await;
-                s.sleep(Dur::from_us(1)).await;
-                l.borrow_mut().push(200 + i);
-            });
-            let l = log.clone();
-            sim.call_in(Dur::from_ns(10 + i), move |_| l.borrow_mut().push(300 + i));
-        }
-        let end = sim.run().unwrap();
-        let checksum = log
-            .borrow()
-            .iter()
-            .fold(0u64, |a, &v| a.wrapping_mul(1099511628211).wrapping_add(v));
-        (end, sim.events_processed(), checksum)
-    }
-
     #[test]
-    fn legacy_and_tagged_payloads_are_observably_identical() {
-        // The direct-dispatch timer path must replay the exact event
-        // order (and count) of the waker-detour path it replaced.
-        assert_eq!(
-            mixed_program(PayloadMode::Tagged),
-            mixed_program(PayloadMode::Legacy)
-        );
+    fn panicking_run_drops_its_simulation() {
+        // A sibling's panic must not leave the sleeper's future, and the
+        // `Sim` clone inside it, parked in an unreachable kernel.
+        let sim = Sim::new(1);
+        let sentinel = Rc::new(());
+        let weak = Rc::downgrade(&sentinel);
+        let s = sim.clone();
+        sim.spawn("sleeper", async move {
+            let _held = sentinel;
+            s.sleep(Dur::from_ms(1)).await;
+        });
+        let s = sim.clone();
+        sim.spawn("panicker", async move {
+            s.sleep(Dur::from_us(1)).await;
+            panic!("model fault");
+        });
+        sim.call_in(Dur::from_ms(2), |_| {});
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(caught.is_err());
+        drop(sim);
+        assert!(weak.upgrade().is_none(), "panicked simulation leaked");
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub use elanib_trace as trace;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use kernel::{
-    flight_kind_name, payload_mode, thread_events, DeadlockDiag, Delay, FlightEntry, PayloadMode,
-    Sim, SimError, SimOpts, StuckTask, TaskId, FLIGHT_LEN,
+    flight_kind_name, thread_events, DeadlockDiag, Delay, FlightEntry, Sim, SimError, StuckTask,
+    TaskId, FLIGHT_LEN,
 };
 pub use profile::KernelProfiler;
 pub use resources::{ChannelStats, FifoChannel, PsResource};

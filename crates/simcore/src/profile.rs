@@ -12,7 +12,9 @@
 //! ## What is recorded
 //!
 //! Per [`EventPayload`](crate::kernel) tag (`poll` / `timer` / `call`)
-//! plus a `wake` bucket for wake-queue drains:
+//! plus a `wake` bucket for wake-queue drains. Timer expiry dispatches
+//! as a `poll` of the sleeping task, so the `timer` bucket is always
+//! empty; it keeps its slot so the record layout stays stable:
 //!
 //! * event **counts** — deterministic (a pure function of seed and
 //!   program);

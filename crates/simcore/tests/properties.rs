@@ -196,70 +196,3 @@ proptest! {
         prop_assert_eq!(&*got.borrow(), &values);
     }
 }
-
-/// Run one randomized schedule under an explicit payload mode and
-/// return every observable: the full `(time, step)` execution log
-/// (ordering-sensitive), the final clock, and the event count.
-fn payload_mode_run(
-    mode: elanib_simcore::PayloadMode,
-    chains: &[Vec<u64>],
-) -> (Vec<(u64, u64)>, u64, u64) {
-    use elanib_simcore::Mailbox;
-    let sim = Sim::with_payload_mode(11, mode);
-    let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-    let mb: Mailbox<u64> = Mailbox::new();
-    for (i, chain) in chains.iter().enumerate() {
-        let s = sim.clone();
-        let l = log.clone();
-        let m = mb.clone();
-        let chain = chain.clone();
-        let first = chain[0];
-        sim.spawn(format!("p{i}"), async move {
-            for (k, &d) in chain.iter().enumerate() {
-                s.sleep(Dur::from_ps(d)).await;
-                l.borrow_mut()
-                    .push((s.now().as_ps(), ((i as u64) << 8) | k as u64));
-            }
-            m.push(i as u64);
-        });
-        // A timed closure event competing with the timers at a nearby
-        // instant (same-instant ordering is part of the contract).
-        let l = log.clone();
-        sim.call_in(Dur::from_ps(first), move |s| {
-            l.borrow_mut().push((s.now().as_ps(), 40_000 + i as u64))
-        });
-    }
-    let total = chains.len();
-    let s = sim.clone();
-    let l = log.clone();
-    sim.spawn("consumer", async move {
-        for _ in 0..total {
-            let v = mb.recv().await;
-            l.borrow_mut().push((s.now().as_ps(), 10_000 + v));
-            s.sleep(Dur::from_ns(3)).await;
-        }
-    });
-    let end = sim.run().unwrap();
-    let out = log.borrow().clone();
-    (out, end.as_ps(), sim.events_processed())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The flattened tagged-union event payload must replay the boxed
-    /// legacy path exactly on arbitrary schedules: same dispatch order
-    /// (full log), same wake-driven consumer order, same final clock,
-    /// same event count.
-    #[test]
-    fn tagged_and_legacy_payloads_agree_on_random_schedules(
-        chains in prop::collection::vec(
-            prop::collection::vec(0u64..5_000_000, 1..8),
-            1..12,
-        ),
-    ) {
-        let tagged = payload_mode_run(elanib_simcore::PayloadMode::Tagged, &chains);
-        let legacy = payload_mode_run(elanib_simcore::PayloadMode::Legacy, &chains);
-        prop_assert_eq!(tagged, legacy);
-    }
-}
