@@ -43,7 +43,7 @@ pub mod subcomm;
 pub mod tports;
 pub mod verbs;
 
-pub use elanib_nic::{BackendKind, Bytes, RoceMode, RoceParams};
+pub use elanib_nic::{Bytes, RoceMode, RoceParams};
 pub use runner::{
     run_job, run_job_configured, run_scenario, run_scenario_on, JobSpec, NetConfig, Network,
     RankProgram, ScenarioRun,

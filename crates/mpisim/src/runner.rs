@@ -2,7 +2,7 @@
 //! network and get the final simulated time back.
 
 use elanib_fabric::FaultStats;
-use elanib_nic::{BackendKind, ElanParams, HcaParams, RoceMode, RoceParams};
+use elanib_nic::{ElanParams, HcaParams, RoceMode, RoceParams};
 use elanib_nodesim::NodeParams;
 use elanib_simcore::{Dur, Sim, SimError, SimTime};
 
@@ -46,21 +46,28 @@ impl Network {
         Network::RoceV2(RoceMode::Hybrid),
     ];
 
-    /// The registry identity of this network (the `ELANIB_BACKEND`
-    /// names).
-    pub fn backend(self) -> BackendKind {
+    /// The registry name of this network (the `ELANIB_BACKEND` names).
+    pub fn name(self) -> &'static str {
         match self {
-            Network::InfiniBand => BackendKind::Hca,
-            Network::Elan4 => BackendKind::Elan,
-            Network::RoceV2(m) => BackendKind::Roce(m),
+            Network::InfiniBand => "hca",
+            Network::Elan4 => "elan",
+            Network::RoceV2(RoceMode::Pfc) => "roce-pfc",
+            Network::RoceV2(RoceMode::Dcqcn) => "roce-dcqcn",
+            Network::RoceV2(RoceMode::Hybrid) => "roce-hybrid",
         }
     }
 
-    fn from_backend(b: BackendKind) -> Network {
-        match b {
-            BackendKind::Hca => Network::InfiniBand,
-            BackendKind::Elan => Network::Elan4,
-            BackendKind::Roce(m) => Network::RoceV2(m),
+    /// Parse a registry name, trimmed and case-insensitive;
+    /// `ib`/`infiniband` alias `hca`, `elan4`/`quadrics` alias `elan`,
+    /// and a bare `roce` means the hybrid (deployed-practice) mode.
+    pub fn parse(s: &str) -> Option<Network> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "hca" | "ib" | "infiniband" => Some(Network::InfiniBand),
+            "elan" | "elan4" | "quadrics" => Some(Network::Elan4),
+            "roce" | "roce-hybrid" => Some(Network::RoceV2(RoceMode::Hybrid)),
+            "roce-pfc" => Some(Network::RoceV2(RoceMode::Pfc)),
+            "roce-dcqcn" => Some(Network::RoceV2(RoceMode::Dcqcn)),
+            _ => None,
         }
     }
 }
@@ -127,15 +134,24 @@ pub fn run_job<P: RankProgram>(spec: JobSpec, program: P) -> SimTime {
 /// [`SimError::ScenarioTimeout`] with the flight-ring tail attached.
 /// Default 10 000 simulated seconds — orders of magnitude past any
 /// committed exhibit, so the fixed results never feel it; `0`/`off`
-/// disables. The script watchdog stays as the outer backstop.
+/// disables. The script watchdog stays as the outer backstop. A
+/// malformed value panics at launch rather than silently disabling
+/// the watchdog.
 fn job_budget() -> Option<SimTime> {
-    match std::env::var("ELANIB_SIM_BUDGET_SECS").as_deref() {
-        Ok("0") | Ok("off") => None,
-        Ok(v) => v
+    let v = std::env::var("ELANIB_SIM_BUDGET_SECS").ok();
+    parse_budget(v.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parse an `ELANIB_SIM_BUDGET_SECS` value: unset is the 10 000 s
+/// default, `0`/`off` is no budget, whole seconds otherwise.
+fn parse_budget(v: Option<&str>) -> Result<Option<SimTime>, String> {
+    match v {
+        None => Ok(Some(SimTime::ZERO + Dur::from_secs(10_000))),
+        Some("0") | Some("off") => Ok(None),
+        Some(v) => v
             .parse::<u64>()
-            .ok()
-            .map(|s| SimTime::ZERO + Dur::from_secs(s)),
-        Err(_) => Some(SimTime::ZERO + Dur::from_secs(10_000)),
+            .map(|s| Some(SimTime::ZERO + Dur::from_secs(s)))
+            .map_err(|_| format!("ELANIB_SIM_BUDGET_SECS={v:?} is not whole seconds, 0 or off")),
     }
 }
 
@@ -178,13 +194,6 @@ pub fn run_scenario<P: RankProgram>(
     run_scenario_on(&Sim::new(spec.seed), spec, cfg, budget, program)
 }
 
-/// [`run_scenario`] on a caller-built kernel — the hook for harnesses
-/// that pin a tracer or profiler regardless of environment
-/// ([`Sim::with_tracer`] / [`Sim::with_profiler`]): the fuzzer's
-/// observer-effect invariant re-runs a scenario with telemetry
-/// attached and demands byte-identical metrics. The caller is
-/// responsible for seeding `sim` with `spec.seed` if it wants the
-/// plain [`run_scenario`] behavior.
 /// `ELANIB_BACKEND`: force every scenario onto one backend by registry
 /// name (`hca`/`ib`, `elan`, `roce`, `roce-pfc`, `roce-dcqcn`,
 /// `roce-hybrid`) regardless of what the harness asked for. This is
@@ -200,19 +209,23 @@ fn backend_override(spec: JobSpec) -> JobSpec {
 fn apply_backend(spec: JobSpec, name: Option<&str>) -> JobSpec {
     match name {
         None => spec,
-        Some(name) => match BackendKind::parse(name) {
-            Some(b) => JobSpec {
-                network: Network::from_backend(b),
-                ..spec
-            },
+        Some(name) => match Network::parse(name) {
+            Some(network) => JobSpec { network, ..spec },
             None => panic!(
                 "ELANIB_BACKEND={name:?} is not a backend; known: {}",
-                BackendKind::ALL.map(|b| b.name()).join(", ")
+                Network::ALL.map(Network::name).join(", ")
             ),
         },
     }
 }
 
+/// [`run_scenario`] on a caller-built kernel — the hook for harnesses
+/// that pin a tracer or profiler regardless of environment
+/// ([`Sim::with_tracer`] / [`Sim::with_profiler`]): the fuzzer's
+/// observer-effect invariant re-runs a scenario with telemetry
+/// attached and demands byte-identical metrics. The caller is
+/// responsible for seeding `sim` with `spec.seed` if it wants the
+/// plain [`run_scenario`] behavior.
 pub fn run_scenario_on<P: RankProgram>(
     sim: &Sim,
     spec: JobSpec,
@@ -310,7 +323,7 @@ mod tests {
 
     #[test]
     fn run_scenario_returns_counters_on_success() {
-        for net in Network::BOTH {
+        for net in Network::ALL {
             let out = Rc::new(Cell::new(0.0));
             let run = run_scenario(
                 JobSpec {
@@ -385,14 +398,129 @@ mod tests {
             seed: 0,
         };
         assert_eq!(apply_backend(spec, None).network, Network::InfiniBand);
-        assert_eq!(apply_backend(spec, Some("elan")).network, Network::Elan4);
-        assert_eq!(
-            apply_backend(spec, Some("roce-pfc")).network,
-            Network::RoceV2(RoceMode::Pfc)
-        );
         // Round trip: every modelled network survives its own name.
         for net in Network::ALL {
-            assert_eq!(apply_backend(spec, Some(net.backend().name())).network, net);
+            assert_eq!(Network::parse(net.name()), Some(net));
+            assert_eq!(apply_backend(spec, Some(net.name())).network, net);
+        }
+        for (alias, net) in [
+            ("ib", Network::InfiniBand),
+            ("InfiniBand", Network::InfiniBand),
+            (" hca ", Network::InfiniBand),
+            ("elan4", Network::Elan4),
+            ("QUADRICS", Network::Elan4),
+            ("roce", Network::RoceV2(RoceMode::Hybrid)),
+            ("Roce-PFC", Network::RoceV2(RoceMode::Pfc)),
+        ] {
+            assert_eq!(apply_backend(spec, Some(alias)).network, net, "{alias:?}");
+        }
+        assert_eq!(Network::parse("myrinet"), None);
+        let err = std::panic::catch_unwind(|| apply_backend(spec, Some("myrinet")))
+            .expect_err("an unknown backend name must be refused");
+        assert_eq!(
+            panic_text(&*err),
+            "ELANIB_BACKEND=\"myrinet\" is not a backend; known: \
+             hca, elan, roce-pfc, roce-dcqcn, roce-hybrid"
+        );
+    }
+
+    #[test]
+    fn budget_values_parse_or_fail_loudly() {
+        let secs = |s| Ok(Some(SimTime::ZERO + Dur::from_secs(s)));
+        assert_eq!(parse_budget(None), secs(10_000));
+        assert_eq!(parse_budget(Some("0")), Ok(None));
+        assert_eq!(parse_budget(Some("off")), Ok(None));
+        assert_eq!(parse_budget(Some("42")), secs(42));
+        for bad in ["10s", "1e4", "-5", ""] {
+            let e = parse_budget(Some(bad)).expect_err(bad);
+            assert!(
+                e.contains("ELANIB_SIM_BUDGET_SECS") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
+    }
+
+    /// Rank 0 sends one 4 KiB message to rank 1.
+    #[derive(Clone)]
+    struct OneSend;
+
+    impl RankProgram for OneSend {
+        #[allow(clippy::manual_async_fn)]
+        fn run<C: Communicator>(self, c: C) -> impl std::future::Future<Output = ()> + 'static {
+            async move {
+                if c.rank() == 0 {
+                    crate::send(&c, 1, 1, crate::zeros(4096), 4096).await;
+                } else {
+                    let _ = crate::recv(&c, Some(0), Some(1)).await;
+                }
+            }
+        }
+    }
+
+    fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// A persistently dead path is never silent: the verbs family
+    /// (IB and every RoCE mode) exhausts `retry_cnt` and the MPI layer
+    /// raises the QP error, while Elan's link layer absorbs any loss
+    /// rate and only declares the link dead once an outage covers
+    /// every route past its retry limit. Each family gets the plan
+    /// that actually kills it; the run must panic, never return `Ok`,
+    /// a deadlock or a blown budget.
+    #[test]
+    fn dead_path_fails_loudly_on_every_network() {
+        use elanib_fabric::faults::Outage;
+        use elanib_fabric::FaultPlan;
+        use std::sync::Arc;
+
+        let loss = Arc::new(FaultPlan::parse("loss=1,seed=3").unwrap());
+        // Back-to-back 100 µs windows on every link (out-of-range
+        // indices are inert): each cleared window the NIC waits out is
+        // one link retry, and 70 > the 64-wait limit.
+        let outages = (0..32)
+            .flat_map(|link| {
+                (0..70u64).map(move |w| Outage {
+                    link,
+                    start: Dur::from_us(100 * w),
+                    dur: Dur::from_us(100),
+                })
+            })
+            .collect();
+        let all_down = Arc::new(FaultPlan {
+            seed: 3,
+            outages,
+            ..FaultPlan::default()
+        });
+        for net in Network::ALL {
+            let (plan, expect): (_, &[&str]) = match net {
+                Network::Elan4 => (&all_down, &["link dead"]),
+                _ => (&loss, &["QP error", "retry_cnt exhausted"]),
+            };
+            let cfg = NetConfig {
+                faults: Some(plan.clone()),
+                ..NetConfig::default()
+            };
+            let spec = JobSpec {
+                network: net,
+                nodes: 2,
+                ppn: 1,
+                seed: 15,
+            };
+            let budget = Some(SimTime::ZERO + Dur::from_secs(1));
+            let run = std::panic::catch_unwind(|| {
+                run_scenario(spec, &cfg, budget, OneSend).map(|r| r.end)
+            });
+            let msg = match run {
+                Err(p) => panic_text(&*p),
+                Ok(r) => panic!("{net}: dead path did not fail loudly: {r:?}"),
+            };
+            for want in expect {
+                assert!(msg.contains(want), "{net}: {msg:?} lacks {want:?}");
+            }
         }
     }
 

@@ -10,11 +10,9 @@ use std::rc::Rc;
 
 use std::cell::RefCell;
 
-use elanib_fabric::{elan_fabric_with, faults::FaultPlan};
-use elanib_nic::{
-    Bytes, ElanNet, ElanParams, HcaParams, RegCache, TportHeader, TportRecvHandle, TportSel,
-};
-use elanib_nodesim::{Node, NodeParams};
+use elanib_fabric::elan_fabric_with;
+use elanib_nic::{Bytes, ElanNet, HcaParams, RegCache, TportHeader, TportRecvHandle, TportSel};
+use elanib_nodesim::Node;
 use elanib_simcore::{Dur, Flag, Sim};
 
 use crate::{Communicator, RecvMsg};
@@ -63,66 +61,20 @@ struct HwBarrierState {
 
 impl ElanWorld {
     pub fn new(sim: &Sim, n_nodes: usize, ppn: usize) -> Rc<ElanWorld> {
-        ElanWorld::with_params(
-            sim,
-            n_nodes,
-            ppn,
-            NodeParams::default(),
-            ElanParams::default(),
-            TportsMpiParams::default(),
-        )
+        ElanWorld::with_config(sim, n_nodes, ppn, &crate::NetConfig::default())
     }
 
-    pub fn with_params(
-        sim: &Sim,
-        n_nodes: usize,
-        ppn: usize,
-        node_params: NodeParams,
-        elan_params: ElanParams,
-        mpi_params: TportsMpiParams,
-    ) -> Rc<ElanWorld> {
-        ElanWorld::with_faults(
-            sim,
-            n_nodes,
-            ppn,
-            node_params,
-            elan_params,
-            mpi_params,
-            None,
-        )
-    }
-
-    /// [`ElanWorld::with_params`] plus the full [`crate::NetConfig`]
-    /// bundle (fault plan included).
+    /// An Elan-4 world on the node, Elan, Tports and fault settings of
+    /// `cfg`.
     pub fn with_config(
         sim: &Sim,
         n_nodes: usize,
         ppn: usize,
         cfg: &crate::NetConfig,
     ) -> Rc<ElanWorld> {
-        ElanWorld::with_faults(
-            sim,
-            n_nodes,
-            ppn,
-            cfg.node,
-            cfg.elan,
-            cfg.tports,
-            cfg.faults.clone(),
-        )
-    }
-
-    fn with_faults(
-        sim: &Sim,
-        n_nodes: usize,
-        ppn: usize,
-        node_params: NodeParams,
-        elan_params: ElanParams,
-        mpi_params: TportsMpiParams,
-        faults: Option<std::sync::Arc<FaultPlan>>,
-    ) -> Rc<ElanWorld> {
-        let nodes: Vec<_> = (0..n_nodes).map(|i| Node::new(i, node_params)).collect();
-        let fabric = Rc::new(elan_fabric_with(n_nodes, faults));
-        let net = ElanNet::new(&nodes, fabric, ppn, elan_params);
+        let nodes: Vec<_> = (0..n_nodes).map(|i| Node::new(i, cfg.node)).collect();
+        let fabric = Rc::new(elan_fabric_with(n_nodes, cfg.faults.clone()));
+        let net = ElanNet::new(&nodes, fabric, ppn, cfg.elan);
         let reg_params = HcaParams::default();
         let regcaches = (0..n_nodes * ppn)
             .map(|_| RefCell::new(RegCache::new(reg_params.reg_cache_bytes)))
@@ -131,7 +83,7 @@ impl ElanWorld {
             sim: sim.clone(),
             net,
             nodes,
-            params: mpi_params,
+            params: cfg.tports,
             ppn,
             regcaches,
             reg_params,

@@ -29,8 +29,8 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use elanib_fabric::{faults::FaultPlan, ib_fabric_with, roce_fabric_with};
-use elanib_nic::{Bytes, HcaParams, IbNet, RoceCc, RoceParams};
-use elanib_nodesim::{Node, NodeParams};
+use elanib_nic::{Bytes, IbNet, RoceCc, RoceParams};
+use elanib_nodesim::Node;
 use elanib_simcore::{Dur, Flag, Race2, Sim};
 
 use crate::{Communicator, RecvMsg};
@@ -223,54 +223,18 @@ pub struct IbWorld {
 
 impl IbWorld {
     pub fn new(sim: &Sim, n_nodes: usize, ppn: usize) -> Rc<IbWorld> {
-        IbWorld::with_params(
-            sim,
-            n_nodes,
-            ppn,
-            NodeParams::default(),
-            HcaParams::default(),
-            VerbsParams::default(),
-        )
+        IbWorld::with_config(sim, n_nodes, ppn, &crate::NetConfig::default())
     }
 
-    pub fn with_params(
-        sim: &Sim,
-        n_nodes: usize,
-        ppn: usize,
-        node_params: NodeParams,
-        hca_params: HcaParams,
-        mpi_params: VerbsParams,
-    ) -> Rc<IbWorld> {
-        IbWorld::with_faults(
-            sim,
-            n_nodes,
-            ppn,
-            node_params,
-            hca_params,
-            mpi_params,
-            None,
-            None,
-        )
-    }
-
-    /// [`IbWorld::with_params`] plus the full [`crate::NetConfig`]
-    /// bundle (fault plan included).
+    /// An InfiniBand world on the node, HCA, verbs and fault settings
+    /// of `cfg`.
     pub fn with_config(
         sim: &Sim,
         n_nodes: usize,
         ppn: usize,
         cfg: &crate::NetConfig,
     ) -> Rc<IbWorld> {
-        IbWorld::with_faults(
-            sim,
-            n_nodes,
-            ppn,
-            cfg.node,
-            cfg.hca,
-            cfg.verbs,
-            cfg.faults.clone(),
-            None,
-        )
+        IbWorld::with_faults(sim, n_nodes, ppn, cfg, None)
     }
 
     /// [`IbWorld::with_config`] over RoCEv2 (EXTENSION): the same
@@ -286,30 +250,18 @@ impl IbWorld {
         cfg: &crate::NetConfig,
         roce: RoceParams,
     ) -> Rc<IbWorld> {
-        IbWorld::with_faults(
-            sim,
-            n_nodes,
-            ppn,
-            cfg.node,
-            cfg.hca,
-            cfg.verbs,
-            cfg.faults.clone(),
-            Some(roce),
-        )
+        IbWorld::with_faults(sim, n_nodes, ppn, cfg, Some(roce))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn with_faults(
         sim: &Sim,
         n_nodes: usize,
         ppn: usize,
-        node_params: NodeParams,
-        hca_params: HcaParams,
-        mpi_params: VerbsParams,
-        faults: Option<std::sync::Arc<FaultPlan>>,
+        cfg: &crate::NetConfig,
         roce: Option<RoceParams>,
     ) -> Rc<IbWorld> {
-        let nodes: Vec<_> = (0..n_nodes).map(|i| Node::new(i, node_params)).collect();
+        let faults = cfg.faults.clone();
+        let nodes: Vec<_> = (0..n_nodes).map(|i| Node::new(i, cfg.node)).collect();
         let (fabric, cc) = match roce {
             None => (Rc::new(ib_fabric_with(n_nodes, faults)), None),
             Some(rp) => {
@@ -327,7 +279,7 @@ impl IbWorld {
                 )
             }
         };
-        let net = Rc::new(IbNet::new_with_cc(&nodes, fabric, ppn, hca_params, cc));
+        let net = Rc::new(IbNet::new_with_cc(&nodes, fabric, ppn, cfg.hca, cc));
         let ranks = (0..n_nodes * ppn)
             .map(|_| Rc::new(RankState::new()))
             .collect();
@@ -335,11 +287,11 @@ impl IbWorld {
             sim: sim.clone(),
             net,
             nodes,
-            params: mpi_params,
+            params: cfg.verbs,
             ranks,
             ppn,
         });
-        if mpi_params.async_progress {
+        if cfg.verbs.async_progress {
             // ABLATION (§7): interrupt-driven progress. Each arrival
             // dispatches a handler immediately, charged at
             // `async_progress_cost`, regardless of whether the
@@ -347,7 +299,7 @@ impl IbWorld {
             // world -> net -> hca -> hook -> world cycle.
             for r in 0..w.n_ranks() {
                 let weak = Rc::downgrade(&w);
-                w.net.hca(r).set_arrival_hook(Box::new(move |sim, _src, m| {
+                w.net.hca(r).set_arrival_hook(Box::new(move |sim, m| {
                     let Some(world) = weak.upgrade() else { return };
                     let comm = world.comm(r);
                     let cost = world.params.async_progress_cost;

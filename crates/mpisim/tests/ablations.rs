@@ -8,22 +8,22 @@ use std::rc::Rc;
 
 use elanib_mpi::tports::{ElanWorld, TportsMpiParams};
 use elanib_mpi::verbs::{IbWorld, VerbsParams};
-use elanib_mpi::{bytes_of_f64, irecv, isend, Communicator, CTX_WORLD};
-use elanib_nic::{ElanParams, HcaParams};
-use elanib_nodesim::NodeParams;
+use elanib_mpi::{bytes_of_f64, irecv, isend, Communicator, NetConfig, CTX_WORLD};
+use elanib_nic::ElanParams;
 use elanib_simcore::{Dur, Sim};
 
 /// Rendezvous-while-computing experiment (as in the behavior suite):
 /// returns the receiver's completion time in ms.
 fn ib_recv_time_ms(params: VerbsParams, compute_ms: u64) -> f64 {
     let sim = Sim::new(9);
-    let w = IbWorld::with_params(
+    let w = IbWorld::with_config(
         &sim,
         2,
         1,
-        NodeParams::default(),
-        HcaParams::default(),
-        params,
+        &NetConfig {
+            verbs: params,
+            ..NetConfig::default()
+        },
     );
     let done = Rc::new(Cell::new(0.0));
     for r in 0..2usize {
@@ -76,13 +76,14 @@ fn async_progress_costs_latency() {
     // async_progress_cost over the polling path.
     fn pingpong_us(params: VerbsParams) -> f64 {
         let sim = Sim::new(4);
-        let w = IbWorld::with_params(
+        let w = IbWorld::with_config(
             &sim,
             2,
             1,
-            NodeParams::default(),
-            HcaParams::default(),
-            params,
+            &NetConfig {
+                verbs: params,
+                ..NetConfig::default()
+            },
         );
         let out = Rc::new(Cell::new(0.0));
         for r in 0..2usize {
@@ -129,13 +130,14 @@ fn async_progress_costs_latency() {
 fn explicit_registration_makes_elan_reuse_sensitive() {
     fn elan_pingpong_us(params: TportsMpiParams, fresh_buffers: bool) -> f64 {
         let sim = Sim::new(4);
-        let w = ElanWorld::with_params(
+        let w = ElanWorld::with_config(
             &sim,
             2,
             1,
-            NodeParams::default(),
-            ElanParams::default(),
-            params,
+            &NetConfig {
+                tports: params,
+                ..NetConfig::default()
+            },
         );
         let out = Rc::new(Cell::new(0.0));
         let bytes = 256 * 1024u64;
@@ -212,16 +214,17 @@ fn hardware_barrier_is_flat_in_rank_count() {
 
     fn barrier_time_us(nodes: usize, hw: Option<Dur>) -> f64 {
         let sim = Sim::new(6);
-        let w = ElanWorld::with_params(
+        let w = ElanWorld::with_config(
             &sim,
             nodes,
             1,
-            NodeParams::default(),
-            ElanParams {
-                hw_barrier: hw,
-                ..ElanParams::default()
+            &NetConfig {
+                elan: ElanParams {
+                    hw_barrier: hw,
+                    ..ElanParams::default()
+                },
+                ..NetConfig::default()
             },
-            TportsMpiParams::default(),
         );
         let t = Rc::new(Cell::new(0.0));
         for r in 0..nodes {

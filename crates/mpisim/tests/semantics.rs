@@ -1,6 +1,9 @@
-//! MPI semantics tests, run identically against both transports: the
-//! same rank program must produce the same *answers* on InfiniBand and
-//! Elan-4 — only the timing may differ.
+//! MPI semantics tests, run identically against every modelled
+//! network: the same rank program must produce the same *answers* on
+//! InfiniBand, Elan-4 and each RoCEv2 mode — only the timing may
+//! differ. This is the transport contract: host matching over verbs
+//! and NIC matching over Tports must agree on ordering, wildcards,
+//! unexpected-queue matching and payload integrity.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -10,33 +13,52 @@ use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
 use elanib_mpi::{
     bytes_of_f64, empty, f64_of_bytes, irecv, isend, recv, send, sendrecv, waitall, Communicator,
+    NetConfig, Network, RoceParams, WorldStats,
 };
-use elanib_simcore::{Dur, Sim, SimTime};
+use elanib_simcore::{Dur, Sim};
 
-/// Run `f` as the rank program on both networks and return the two
-/// final simulated times (ib, elan).
-fn run_both<F, Fut>(nodes: usize, ppn: usize, f: F) -> (SimTime, SimTime)
+/// Run `f` as the rank program on one network and return the world's
+/// end-of-run counters.
+fn run_on<F, Fut>(net: Network, nodes: usize, ppn: usize, f: F) -> WorldStats
+where
+    F: Fn(Box<dyn CommAny>) -> Fut + 'static,
+    Fut: std::future::Future<Output = ()> + 'static,
+{
+    let sim = Sim::new(7);
+    let stats: Box<dyn Fn() -> WorldStats> = match net {
+        Network::Elan4 => {
+            let w = ElanWorld::new(&sim, nodes, ppn);
+            w.spawn_ranks("test", move |c| f(Box::new(c)));
+            Box::new(move || w.stats())
+        }
+        Network::InfiniBand => {
+            let w = IbWorld::new(&sim, nodes, ppn);
+            w.spawn_ranks("test", move |c| f(Box::new(c)));
+            Box::new(move || w.stats())
+        }
+        Network::RoceV2(mode) => {
+            let cfg = NetConfig::default();
+            let w = IbWorld::with_config_roce(&sim, nodes, ppn, &cfg, RoceParams::for_mode(mode));
+            w.spawn_ranks("test", move |c| f(Box::new(c)));
+            Box::new(move || w.stats())
+        }
+    };
+    sim.run().unwrap_or_else(|e| panic!("{net} deadlock: {e}"));
+    stats()
+}
+
+/// Run `f` as the rank program on every network in [`Network::ALL`].
+fn run_all<F, Fut>(nodes: usize, ppn: usize, f: F)
 where
     F: Fn(Box<dyn CommAny>) -> Fut + Clone + 'static,
     Fut: std::future::Future<Output = ()> + 'static,
 {
-    let t_ib = {
-        let sim = Sim::new(7);
-        let w = IbWorld::new(&sim, nodes, ppn);
-        let f = f.clone();
-        w.spawn_ranks("test", move |c| f(Box::new(c)));
-        sim.run().unwrap_or_else(|e| panic!("ib deadlock: {e}"))
-    };
-    let t_elan = {
-        let sim = Sim::new(7);
-        let w = ElanWorld::new(&sim, nodes, ppn);
-        w.spawn_ranks("test", move |c| f(Box::new(c)));
-        sim.run().unwrap_or_else(|e| panic!("elan deadlock: {e}"))
-    };
-    (t_ib, t_elan)
+    for net in Network::ALL {
+        run_on(net, nodes, ppn, f.clone());
+    }
 }
 
-/// Object-safe adapter so one test body can run over either transport
+/// Object-safe adapter so one test body can run over any transport
 /// without generics leaking into every closure.
 ///
 /// (Apps use the generic [`Communicator`] directly; this adapter is a
@@ -180,7 +202,7 @@ impl<C: Communicator> CommAny for C {
 
 #[test]
 fn pingpong_payload_integrity() {
-    run_both(2, 1, |c| async move {
+    run_all(2, 1, |c| async move {
         if c.rank() == 0 {
             c.send_b(1, 5, bytes_of_f64(&[1.0, 2.0, 3.0]), 24).await;
             let m = c.recv_b(Some(1), Some(6)).await;
@@ -195,8 +217,8 @@ fn pingpong_payload_integrity() {
 
 #[test]
 fn large_message_rendezvous_integrity() {
-    // 256 KiB: rendezvous on both networks.
-    run_both(2, 1, |c| async move {
+    // 256 KiB: rendezvous on every network.
+    run_all(2, 1, |c| async move {
         let n = 1024usize;
         if c.rank() == 0 {
             let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -213,7 +235,7 @@ fn large_message_rendezvous_integrity() {
 
 #[test]
 fn non_overtaking_same_tag() {
-    run_both(2, 1, |c| async move {
+    run_all(2, 1, |c| async move {
         let count = 20;
         if c.rank() == 0 {
             for i in 0..count {
@@ -230,7 +252,7 @@ fn non_overtaking_same_tag() {
 
 #[test]
 fn mixed_eager_and_rendezvous_stay_ordered() {
-    run_both(2, 1, |c| async move {
+    run_all(2, 1, |c| async move {
         if c.rank() == 0 {
             // Rendezvous first (slow), eager second (fast): the
             // receiver must still match them in posted order.
@@ -249,7 +271,7 @@ fn mixed_eager_and_rendezvous_stay_ordered() {
 
 #[test]
 fn wildcard_source_and_tag() {
-    run_both(3, 1, |c| async move {
+    run_all(3, 1, |c| async move {
         match c.rank() {
             0 => {
                 // Two receives with ANY_SOURCE/ANY_TAG get both sends.
@@ -271,7 +293,7 @@ fn wildcard_source_and_tag() {
 
 #[test]
 fn unexpected_messages_match_later_receive() {
-    run_both(2, 1, |c| async move {
+    run_all(2, 1, |c| async move {
         if c.rank() == 0 {
             c.send_b(1, 1, bytes_of_f64(&[7.0]), 8).await;
             c.send_b(1, 2, bytes_of_f64(&[8.0]), 8).await;
@@ -289,7 +311,7 @@ fn unexpected_messages_match_later_receive() {
 
 #[test]
 fn sendrecv_exchange_ring() {
-    run_both(4, 1, |c| async move {
+    run_all(4, 1, |c| async move {
         let n = c.size();
         let me = c.rank();
         let right = (me + 1) % n;
@@ -303,7 +325,7 @@ fn sendrecv_exchange_ring() {
 
 #[test]
 fn intra_node_2ppn_messaging() {
-    run_both(2, 2, |c| async move {
+    run_all(2, 2, |c| async move {
         // 4 ranks; 0&1 share node 0. Ring exchange crosses both the
         // loopback path and the wire.
         let n = c.size();
@@ -325,7 +347,7 @@ fn intra_node_2ppn_messaging() {
 #[test]
 fn barrier_synchronizes() {
     for nodes in [2, 3, 5] {
-        run_both(nodes, 1, |c| async move {
+        run_all(nodes, 1, |c| async move {
             let before = c.sim().now();
             c.barrier_b().await;
             let after = c.sim().now();
@@ -339,7 +361,7 @@ fn barrier_synchronizes() {
 #[test]
 fn allreduce_sum_and_max() {
     for (nodes, ppn) in [(4, 1), (3, 2)] {
-        run_both(nodes, ppn, |c| async move {
+        run_all(nodes, ppn, |c| async move {
             let me = c.rank() as f64;
             let n = c.size() as f64;
             let s = c.allreduce_b(Op::Sum, vec![me, 1.0]).await;
@@ -355,7 +377,7 @@ fn allreduce_sum_and_max() {
 
 #[test]
 fn bcast_from_nonzero_root() {
-    run_both(5, 1, |c| async move {
+    run_all(5, 1, |c| async move {
         let payload = if c.rank() == 3 {
             bytes_of_f64(&[42.0, 43.0])
         } else {
@@ -368,7 +390,7 @@ fn bcast_from_nonzero_root() {
 
 #[test]
 fn reduce_to_root() {
-    run_both(6, 1, |c| async move {
+    run_all(6, 1, |c| async move {
         let r = c.reduce_b(2, Op::Sum, vec![1.0]).await;
         if c.rank() == 2 {
             assert_eq!(r.unwrap(), vec![6.0]);
@@ -380,7 +402,7 @@ fn reduce_to_root() {
 
 #[test]
 fn gather_collects_in_rank_order() {
-    run_both(4, 1, |c| async move {
+    run_all(4, 1, |c| async move {
         let me = c.rank();
         let out = c.gather_b(0, bytes_of_f64(&[me as f64 * 10.0]), 8).await;
         if me == 0 {
@@ -392,7 +414,7 @@ fn gather_collects_in_rank_order() {
 
 #[test]
 fn alltoall_exchanges_everything() {
-    run_both(4, 1, |c| async move {
+    run_all(4, 1, |c| async move {
         let me = c.rank();
         let n = c.size();
         let payloads: Vec<_> = (0..n)
@@ -467,45 +489,46 @@ fn results_recorded_outside_tasks() {
 
 #[test]
 fn world_stats_reflect_traffic() {
-    use elanib_mpi::{bytes_of_f64, recv, send};
-    let sim = Sim::new(71);
-    let wi = IbWorld::new(&sim, 2, 1);
-    let we = ElanWorld::new(&sim, 2, 1);
-    for (r, w) in [(0usize, &wi), (1, &wi)] {
-        let c = w.comm(r);
-        sim.spawn(format!("ib{r}"), async move {
-            if Communicator::rank(&c) == 0 {
-                // One eager, one rendezvous (registers), one unexpected.
-                send(&c, 1, 1, bytes_of_f64(&[1.0]), 64).await;
-                send(&c, 1, 2, bytes_of_f64(&[2.0]), 100_000).await;
+    for net in Network::ALL {
+        let s = run_on(net, 2, 1, |c| async move {
+            if c.rank() == 0 {
+                // One eager, then the same rendezvous buffer twice:
+                // the first send registers, the second hits the cache.
+                c.send_b(1, 1, bytes_of_f64(&[1.0]), 64).await;
+                c.send_b(1, 2, bytes_of_f64(&[2.0]), 100_000).await;
+                c.send_b(1, 2, bytes_of_f64(&[3.0]), 100_000).await;
             } else {
-                Communicator::sim(&c).sleep(Dur::from_us(500)).await; // force unexpected
-                let _ = recv(&c, Some(0), Some(1)).await;
-                let _ = recv(&c, Some(0), Some(2)).await;
+                c.sim().sleep(Dur::from_us(500)).await; // force unexpected
+                for tag in [1, 2, 2] {
+                    let _ = c.recv_b(Some(0), Some(tag)).await;
+                }
             }
         });
+        assert!(
+            s.wire_bytes > 200_000,
+            "{net}: rendezvous data crossed the wire"
+        );
+        assert!(
+            s.unexpected >= 1,
+            "{net}: the delayed receiver saw unexpected arrivals"
+        );
+        if net == Network::Elan4 {
+            assert!(s.nic_messages >= 3, "{net}");
+            assert_eq!(s.reg_misses, 0, "Elan never registers");
+            assert_eq!(s.reg_hits, 0);
+        } else {
+            assert!(
+                s.nic_messages >= 4,
+                "{net}: eager + RTS + CTS + FIN at least"
+            );
+            assert!(
+                s.reg_misses >= 2,
+                "{net}: both rendezvous buffers registered"
+            );
+            assert!(
+                s.reg_hits >= 1,
+                "{net}: the re-sent buffer was not re-charged"
+            );
+        }
     }
-    for r in 0..2usize {
-        let c = we.comm(r);
-        sim.spawn(format!("el{r}"), async move {
-            if Communicator::rank(&c) == 0 {
-                send(&c, 1, 1, bytes_of_f64(&[1.0]), 64).await;
-            } else {
-                let _ = recv(&c, Some(0), Some(1)).await;
-            }
-        });
-    }
-    sim.run().unwrap();
-    let si = wi.stats();
-    assert!(si.wire_bytes > 100_000, "rendezvous data crossed the wire");
-    assert!(si.nic_messages >= 4, "eager + RTS + CTS + FIN at least");
-    assert!(
-        si.unexpected >= 1,
-        "the delayed receiver saw unexpected arrivals"
-    );
-    assert!(si.reg_misses >= 2, "both rendezvous buffers registered");
-    let se = we.stats();
-    assert!(se.nic_messages >= 1);
-    assert_eq!(se.reg_misses, 0, "Elan never registers");
-    assert_eq!(se.reg_hits, 0);
 }

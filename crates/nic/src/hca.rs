@@ -47,12 +47,6 @@ impl PostHandle {
     pub fn error(&self) -> Option<TransportError> {
         self.err.borrow().clone()
     }
-
-    /// The shared error slot — lets the backend trait expose the same
-    /// outcome without holding the whole handle.
-    pub(crate) fn err_slot(&self) -> Rc<RefCell<Option<TransportError>>> {
-        self.err.clone()
-    }
 }
 
 /// Per-node HCA hardware: the engines and ordering chains shared by
@@ -73,7 +67,7 @@ impl HcaPort {
 }
 
 /// Interrupt-style delivery hook (see [`Hca::set_arrival_hook`]).
-pub type ArrivalHook<M> = Box<dyn Fn(&Sim, usize, M)>;
+pub type ArrivalHook<M> = Box<dyn Fn(&Sim, M)>;
 
 /// Per-rank HCA state: registration cache (MVAPICH keeps one per
 /// process) and the passive receive queue.
@@ -302,7 +296,7 @@ impl<M: 'static> IbNet<M> {
                 sim.call_at(slot, move |sim| {
                     let hook = hca.hook.borrow();
                     match &*hook {
-                        Some(h) => h(sim, src, m),
+                        Some(h) => h(sim, m),
                         None => {
                             hca.inbox.push((src, m));
                             if let Some(tr) = sim.tracer() {

@@ -15,7 +15,6 @@
 //! The common substrate — the overlapped DMA/wire/DMA pipeline and the
 //! per-pair ordering guarantee — lives in [`transfer`].
 
-pub mod backend;
 pub mod common;
 pub mod elan;
 pub mod hca;
@@ -24,7 +23,6 @@ pub mod regcache;
 pub mod roce;
 pub mod transfer;
 
-pub use backend::{Arrival, BackendKind, NicBackend, RecvHandle, SendHandle};
 pub use common::{no_bytes, Bytes, SerialEngine};
 pub use elan::{ElanNet, ElanPort, TportArrival, TportHeader, TportRecvHandle, TportSel};
 pub use hca::{Hca, HcaPort, IbNet, PostHandle};

@@ -14,11 +14,11 @@
 #                    with BENCH records captured for stage 9's gate
 #    7. cache        point-cache consistency smoke (cold vs warm fig2)
 #    8. backend-matrix
-#                    N-way NIC-backend gate: the fig2 smoke exhibit
-#                    reruns under every registered backend via
+#                    one-network-per-run gate: the fig2 smoke exhibit
+#                    reruns under every Network registry name via
 #                    ELANIB_BACKEND (hca, elan, roce-pfc, roce-dcqcn,
 #                    roce-hybrid; cache off so every run is live). The
-#                    two refactored paper backends must reproduce their
+#                    two paper networks must reproduce their
 #                    committed fig2 columns byte for byte even when
 #                    routed through the override machinery; the three
 #                    RoCE modes must complete cleanly. Per-backend wall
@@ -179,14 +179,14 @@ stage_cache() {
 }
 
 stage_backend-matrix() {
-    # One fig2 smoke run per registered NIC backend, forced through the
+    # One fig2 smoke run per Network registry name, forced through the
     # ELANIB_BACKEND override (always paired with ELANIB_CACHE=off: an
     # overridden run must never populate or read the point cache, whose
     # keys name the *requested* network). fig2's CSV carries IB columns
     # (2,3,6,7) and Elan columns (4,5,8,9); forcing hca must reproduce
     # the committed IB columns byte for byte, forcing elan the Elan
-    # columns — the proof that the NicBackend refactor plus override
-    # plumbing is observationally invisible for the paper backends. The
+    # columns — the proof that the override plumbing is observationally
+    # invisible for the paper networks. The
     # RoCE modes have no committed fig2 numbers; completing cleanly is
     # their gate (their quantitative claims live in expectations/
     # roce.toml).
