@@ -9,28 +9,12 @@
 //! process exits non-zero naming every violated term.
 //!
 //! ```text
-//! conformance [--expectations DIR] [--results DIR] [--json PATH]
-//!             [--bench-current FILE] [--bench-baseline FILE]...
-//!             [--bench-ratio N] [--eps-gate N] [--strict] [--quiet]
+//! conformance [--expectations DIR] [--results DIR] [--json PATH] [--quiet]
 //! ```
 //!
-//! Exit codes: 0 = conformant; 1 = violated expectations, coverage
-//! gaps, or (with `--strict`) bench regressions; 2 = usage or setup
-//! error (unreadable directory, unparseable expectation file).
-//!
-//! The bench gate compares per-exhibit wall times in `--bench-current`
-//! (a JSONL file written via `ELANIB_BENCH_JSON` during this run)
-//! against the best baseline time per exhibit in each
-//! `--bench-baseline` (the committed `BENCH_regen.json` /
-//! `BENCH_sweep.json`). Records slower than `--bench-ratio` (default
-//! 8x) *and* over an absolute 0.25 s floor are reported — as warnings
-//! by default, as failures under `--strict`.
-//!
-//! `--eps-gate N` promotes the **events/s** half of that check from
-//! warn-only to FAILING at ratio `N` (independent of `--strict`): any
-//! sweep record above the 50k-event noise floor whose throughput fell
-//! more than `N`x below the best on record exits non-zero. This is the
-//! CI `perf-gate` stage.
+//! Exit codes: 0 = conformant; 1 = violated expectations or coverage
+//! gaps; 2 = usage or setup error (unreadable directory, unparseable
+//! expectation file).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,11 +22,7 @@ use std::process::ExitCode;
 use elanib_bench::conformance::{run, ConformanceOptions};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: conformance [--expectations DIR] [--results DIR] [--json PATH]\n\
-         \x20                  [--bench-current FILE] [--bench-baseline FILE]...\n\
-         \x20                  [--bench-ratio N] [--eps-gate N] [--strict] [--quiet]"
-    );
+    eprintln!("usage: conformance [--expectations DIR] [--results DIR] [--json PATH] [--quiet]");
     std::process::exit(2);
 }
 
@@ -64,29 +44,6 @@ fn main() -> ExitCode {
             "--expectations" => opts.expectations = value("--expectations"),
             "--results" => opts.results = value("--results"),
             "--json" => opts.json = Some(value("--json")),
-            "--bench-current" => opts.bench_current = Some(value("--bench-current")),
-            "--bench-baseline" => opts.bench_baselines.push(value("--bench-baseline")),
-            "--bench-ratio" => {
-                let v = value("--bench-ratio");
-                opts.bench_ratio = match v.to_string_lossy().parse::<f64>() {
-                    Ok(r) if r > 1.0 => r,
-                    _ => {
-                        eprintln!("conformance: --bench-ratio must be a number > 1");
-                        usage();
-                    }
-                }
-            }
-            "--eps-gate" => {
-                let v = value("--eps-gate");
-                opts.eps_gate = match v.to_string_lossy().parse::<f64>() {
-                    Ok(r) if r > 1.0 => Some(r),
-                    _ => {
-                        eprintln!("conformance: --eps-gate must be a number > 1");
-                        usage();
-                    }
-                }
-            }
-            "--strict" => opts.strict = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),
             other => {
@@ -95,16 +52,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    if opts.bench_current.is_some() && opts.bench_baselines.is_empty() {
-        // Default baselines: the committed BENCH records.
-        for name in ["BENCH_regen.json", "BENCH_sweep.json"] {
-            let p = PathBuf::from(name);
-            if p.exists() {
-                opts.bench_baselines.push(p);
-            }
-        }
-    }
-
     let outcome = match run(&opts) {
         Ok(o) => o,
         Err(e) => {

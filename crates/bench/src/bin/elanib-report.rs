@@ -1,29 +1,20 @@
-//! `elanib-report` — merge bench history, profiler output and the
-//! conformance verdict into one perf dashboard.
+//! `elanib-report` — render the repository benchmark's run records and
+//! the conformance verdict as one perf dashboard.
 //!
 //! ```text
 //! elanib-report [--bench FILE]... [--conformance FILE]
 //!               [--out-md PATH] [--out-json PATH]
-//!               [--ratio N] [--strict]
-//! elanib-report --rotate N [--bench FILE]...
 //! ```
 //!
-//! `--bench` files are JSONL (`ELANIB_BENCH_JSON` format) and are read
-//! in the order given — the last record per label wins "latest", so
-//! pass committed history first and the current run's file last.
-//! Missing `--bench` defaults to the committed `BENCH_regen.json` and
-//! `BENCH_sweep.json` when present.
+//! `--bench` files are stdout captures of `benchmark/` runs (untraced
+//! runs give the end-to-end table, traced runs the per-layer table);
+//! without one the report reads the committed traced baseline
+//! `scripts/benchmark_counts.jsonl`. Without `--out-md`/`--out-json`
+//! the markdown goes to stdout.
 //!
-//! `--rotate N` switches to maintenance mode: instead of generating a
-//! report, each `--bench` file is rewritten in place keeping the last
-//! `N` records per `(kind, label)` key plus every best-on-record entry
-//! the regression gates compare against (min-wall regen, max-events/s
-//! sweep, per-bucket min-ns/event profile). `regen_all.sh` runs this
-//! after every clean full pass so the append-only history files stay
-//! bounded.
-//!
-//! Exit codes: 0 = report written (cost regressions are warnings);
-//! 1 = cost regressions under `--strict`; 2 = usage or I/O error.
+//! Exit codes: 0 = report written; 2 = usage error, or an input that
+//! cannot be read or holds no well-formed run record (one line on
+//! stderr naming the file).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,8 +24,7 @@ use elanib_bench::perf_report::generate;
 fn usage() -> ! {
     eprintln!(
         "usage: elanib-report [--bench FILE]... [--conformance FILE]\n\
-         \x20                    [--out-md PATH] [--out-json PATH] [--ratio N] [--strict]\n\
-         \x20      elanib-report --rotate N [--bench FILE]..."
+         \x20                    [--out-md PATH] [--out-json PATH]"
     );
     std::process::exit(2);
 }
@@ -44,9 +34,6 @@ fn main() -> ExitCode {
     let mut conformance: Option<PathBuf> = None;
     let mut out_md: Option<PathBuf> = None;
     let mut out_json: Option<PathBuf> = None;
-    let mut ratio = 8.0f64;
-    let mut strict = false;
-    let mut rotate_keep: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| -> PathBuf {
@@ -63,27 +50,6 @@ fn main() -> ExitCode {
             "--conformance" => conformance = Some(value("--conformance")),
             "--out-md" => out_md = Some(value("--out-md")),
             "--out-json" => out_json = Some(value("--out-json")),
-            "--ratio" => {
-                let v = value("--ratio");
-                ratio = match v.to_string_lossy().parse::<f64>() {
-                    Ok(r) if r > 1.0 => r,
-                    _ => {
-                        eprintln!("elanib-report: --ratio must be a number > 1");
-                        usage();
-                    }
-                }
-            }
-            "--rotate" => {
-                let v = value("--rotate");
-                rotate_keep = match v.to_string_lossy().parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("elanib-report: --rotate must be an integer >= 1");
-                        usage();
-                    }
-                }
-            }
-            "--strict" => strict = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("elanib-report: unknown argument `{other}`");
@@ -92,71 +58,30 @@ fn main() -> ExitCode {
         }
     }
     if inputs.is_empty() {
-        for name in ["BENCH_regen.json", "BENCH_sweep.json"] {
-            let p = PathBuf::from(name);
-            if p.exists() {
-                inputs.push(p);
-            }
-        }
-        if inputs.is_empty() {
-            eprintln!("elanib-report: no --bench files given and no committed BENCH_*.json found");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(keep) = rotate_keep {
-        for path in &inputs {
-            match elanib_bench::rotate::rotate_file(path, keep) {
-                Ok(s) => eprintln!(
-                    "[rotated {}: kept {}, dropped {}]",
-                    path.display(),
-                    s.kept,
-                    s.dropped
-                ),
-                Err(e) => {
-                    eprintln!("elanib-report: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
+        inputs.push(PathBuf::from("scripts/benchmark_counts.jsonl"));
     }
     // A conformance file that does not exist yet (e.g. the stage was
     // skipped) degrades to "not supplied" rather than an error.
     let conformance = conformance.filter(|p| p.exists());
 
-    let report = match generate(&inputs, conformance.as_deref(), ratio) {
+    let report = match generate(&inputs, conformance.as_deref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("elanib-report: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &out_md {
-        if let Err(e) = std::fs::write(path, &report.markdown) {
-            eprintln!("elanib-report: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
+    for (path, body) in [(&out_md, &report.markdown), (&out_json, &report.json)] {
+        if let Some(path) = path {
+            if let Err(e) = std::fs::write(path, body) {
+                eprintln!("elanib-report: cannot write {}: {e}", path.display());
+                return ExitCode::from(2);
+            }
+            eprintln!("[perf report written to {}]", path.display());
         }
-        eprintln!("[perf report written to {}]", path.display());
-    }
-    if let Some(path) = &out_json {
-        if let Err(e) = std::fs::write(path, &report.json) {
-            eprintln!("elanib-report: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("[perf report written to {}]", path.display());
     }
     if out_md.is_none() && out_json.is_none() {
         print!("{}", report.markdown);
-    }
-    for f in &report.flags {
-        eprintln!("elanib-report: WARN {f}");
-    }
-    if strict && !report.flags.is_empty() {
-        eprintln!(
-            "elanib-report: {} per-event-type cost regression(s) under --strict",
-            report.flags.len()
-        );
-        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

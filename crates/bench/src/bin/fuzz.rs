@@ -23,8 +23,8 @@
 //! killing the process mid-scenario. Per-run *simulated* time is
 //! bounded separately by the in-kernel watchdog (a blown budget is a
 //! typed `ScenarioTimeout`, reported as a no-deadlock violation).
-//! Appends a `{"kind":"sweep"}` record per chunk when
-//! `ELANIB_BENCH_JSON` is set, like every other exhibit binary.
+//! Reports a `[sweep fuzz: …]` stderr line per chunk, like every other
+//! exhibit binary.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};

@@ -7,12 +7,14 @@
 //! time, events/s, and allocations per event (via a counting global
 //! allocator), plus the thread's waker-`Arc` allocation count.
 //!
-//! Runs in under a second; CI runs it inside the throughput-gate stage
-//! so a dispatch-path or allocation regression is visible right next
-//! to the rolled-up events/s numbers it would eventually sink. It exits
-//! non-zero when `calls`, `pingpong` or `model` allocates more per
-//! event than its budget (`MAX_ALLOCS_PER_EVENT_*`): allocation counts
-//! are deterministic, so that gate is hard.
+//! Runs in under a second and gates itself; CI's `perf-gate` stage is
+//! this binary alone. It exits non-zero when `calls`, `pingpong` or
+//! `model` allocates more per event than its budget
+//! (`MAX_ALLOCS_PER_EVENT_*`; allocation counts are deterministic, so
+//! that gate is exact), or when any scenario dispatches more than
+//! [`EPS_GATE_RATIO`] times fewer events per second than its best on
+//! record (`BEST_EVENTS_PER_SEC_*`), which catches a dispatch-path
+//! slowdown even when every CSV is still byte-identical.
 //!
 //! Diagnostics: set `ALLOCPROBE_BT=<size>` to print a sampled
 //! backtrace of every 20000th allocation of exactly `<size>` bytes —
@@ -21,10 +23,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use elanib_core::sweep::WorkerStat;
-use elanib_core::SweepStats;
 use elanib_simcore::{Dur, Sim};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -86,33 +86,34 @@ const MAX_ALLOCS_PER_EVENT_CALLS: f64 = 0.01;
 const MAX_ALLOCS_PER_EVENT_PINGPONG: f64 = 0.01;
 const MAX_ALLOCS_PER_EVENT_MODEL: f64 = 0.10;
 
-/// Append a sweep-shaped BENCH record for one scenario so the CI
-/// events/s gate can judge kernel dispatch throughput directly,
-/// best-on-record style, next to the exhibit sweeps. No-op unless
-/// `ELANIB_BENCH_JSON` is set.
-fn record(label: &str, events: u64, wall: Duration) {
-    SweepStats {
-        jobs: 1,
-        threads: 1,
-        events,
-        wall,
-        failed: 0,
-        failures: Vec::new(),
-        per_worker: vec![WorkerStat {
-            worker: 0,
-            jobs: 1,
-            events,
-            busy: wall,
-        }],
-        per_item_events: vec![events],
-    }
-    .record(&format!("kernel_{label}"));
+/// Events/s gates: each scenario's best events/s on record, measured
+/// on a 2-vCPU host (the `kernel_*` records of
+/// `git show c46c8a7:BENCH_sweep.json`). Wall time is noisy on shared
+/// hosts, so the gate only fails a scenario that runs more than
+/// [`EPS_GATE_RATIO`] times below its figure: halving dispatch
+/// throughput trips it, host jitter does not.
+const BEST_EVENTS_PER_SEC_TIMERS: f64 = 12_416_851.5;
+const BEST_EVENTS_PER_SEC_CALLS: f64 = 18_047_888.2;
+const BEST_EVENTS_PER_SEC_PINGPONG: f64 = 5_206_837.9;
+const BEST_EVENTS_PER_SEC_MODEL: f64 = 4_205_790.0;
+const EPS_GATE_RATIO: f64 = 2.0;
+
+/// The events/s verdict: a scenario passes while it runs at most
+/// [`EPS_GATE_RATIO`] times below its best on record.
+fn eps_within_gate(events_per_sec: f64, best: f64) -> bool {
+    events_per_sec * EPS_GATE_RATIO >= best
+}
+
+/// What [`measure`] reports for one scenario.
+struct Measured {
+    events_per_sec: f64,
+    allocs_per_event: f64,
 }
 
 /// Run `body` and report the events it dispatched on this thread, its
 /// wall time, events/s and allocations per event; `body` returns any
-/// extra text for the line. Returns allocations per event.
-fn measure(name: &str, body: impl FnOnce() -> String) -> f64 {
+/// extra text for the line.
+fn measure(name: &str, body: impl FnOnce() -> String) -> Measured {
     let e0 = elanib_simcore::thread_events();
     let a0 = ALLOCS.load(Ordering::Relaxed);
     let t0 = Instant::now();
@@ -120,13 +121,16 @@ fn measure(name: &str, body: impl FnOnce() -> String) -> f64 {
     let wall = t0.elapsed();
     let events = elanib_simcore::thread_events() - e0;
     let allocs_per_event = (ALLOCS.load(Ordering::Relaxed) - a0) as f64 / events as f64;
+    let events_per_sec = events as f64 / wall.as_secs_f64();
     println!(
         "{name:8} events={events:9} wall={:7.3}s  ev/s={:7.2}M  allocs/event={allocs_per_event:.3}{extra}",
         wall.as_secs_f64(),
-        events as f64 / wall.as_secs_f64() / 1e6,
+        events_per_sec / 1e6,
     );
-    record(name, events, wall);
-    allocs_per_event
+    Measured {
+        events_per_sec,
+        allocs_per_event,
+    }
 }
 
 /// Build a scenario on a fresh sim and run it to completion.
@@ -203,13 +207,13 @@ fn main() {
     if let Ok(s) = std::env::var("ALLOCPROBE_BT") {
         PROBE_SIZE.store(s.parse().unwrap_or(0), Ordering::Relaxed);
     }
-    measure("timers", || run(timers));
-    let calls_allocs = measure("calls", || run(calls));
-    let pingpong_allocs = measure("pingpong", || run(pingpong));
+    let timers = measure("timers", || run(timers));
+    let calls = measure("calls", || run(calls));
+    let pingpong = measure("pingpong", || run(pingpong));
 
     // End-to-end reference: one fig2-shaped MD point, uncached.
     std::env::set_var("ELANIB_CACHE", "off");
-    let model_allocs = measure("model", || {
+    let model = measure("model", || {
         let t = elanib_apps::md::proxy::md_step_time(
             elanib_mpi::Network::InfiniBand,
             elanib_apps::md::proxy::ljs(),
@@ -234,21 +238,63 @@ fn main() {
         println!("  exactly {s:4} B x {c}");
     }
 
-    let gates = [
-        ("calls", calls_allocs, MAX_ALLOCS_PER_EVENT_CALLS),
-        ("pingpong", pingpong_allocs, MAX_ALLOCS_PER_EVENT_PINGPONG),
-        ("model", model_allocs, MAX_ALLOCS_PER_EVENT_MODEL),
+    let alloc_gates = [
+        ("calls", &calls, MAX_ALLOCS_PER_EVENT_CALLS),
+        ("pingpong", &pingpong, MAX_ALLOCS_PER_EVENT_PINGPONG),
+        ("model", &model, MAX_ALLOCS_PER_EVENT_MODEL),
     ];
-    let mut over = 0;
-    for (name, got, max) in gates {
+    let mut failed = Vec::new();
+    for (name, m, max) in alloc_gates {
+        let got = m.allocs_per_event;
         let verdict = if got > max { "FAIL" } else { "ok" };
         println!("alloc gate {name:8} {got:.3} allocs/event (max {max}) {verdict}");
         if got > max {
-            over += 1;
+            failed.push(format!("{name} allocates {got:.3} per event (max {max})"));
         }
     }
-    if over > 0 {
-        eprintln!("kernelbench: {over} scenario(s) over their allocation budget");
+    let eps_gates = [
+        ("timers", &timers, BEST_EVENTS_PER_SEC_TIMERS),
+        ("calls", &calls, BEST_EVENTS_PER_SEC_CALLS),
+        ("pingpong", &pingpong, BEST_EVENTS_PER_SEC_PINGPONG),
+        ("model", &model, BEST_EVENTS_PER_SEC_MODEL),
+    ];
+    for (name, m, best) in eps_gates {
+        let got = m.events_per_sec;
+        let ok = eps_within_gate(got, best);
+        println!(
+            "eps gate   {name:8} {:.2}M events/s (best {:.2}M, min {:.2}M) {}",
+            got / 1e6,
+            best / 1e6,
+            best / EPS_GATE_RATIO / 1e6,
+            if ok { "ok" } else { "FAIL" }
+        );
+        if !ok {
+            failed.push(format!(
+                "{name} runs {:.2}M events/s, {:.1}x below its best on record {:.2}M (allowed {EPS_GATE_RATIO}x)",
+                got / 1e6,
+                best / got,
+                best / 1e6
+            ));
+        }
+    }
+    for f in &failed {
+        eprintln!("kernelbench: FAIL {f}");
+    }
+    if !failed.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn eps_gate_passes_at_exactly_the_ratio_and_fails_past_it() {
+        let best = BEST_EVENTS_PER_SEC_MODEL;
+        assert!(eps_within_gate(best, best));
+        assert!(eps_within_gate(best / EPS_GATE_RATIO, best));
+        assert!(!eps_within_gate(best / EPS_GATE_RATIO * (1.0 - 1e-9), best));
+        assert!(!eps_within_gate(best / 2.5, best));
     }
 }

@@ -1,15 +1,12 @@
 //! Driver behind the `conformance` binary: expectation evaluation plus
-//! the two repo-level gates the dep-free `elanib-validate` crate cannot
+//! the repo-level gate the dep-free `elanib-validate` crate cannot
 //! know about — exhibit *coverage* (every entry of
-//! [`elanib_core::EXHIBITS`] must be claimed by an expectation file)
-//! and BENCH *regression gating* (current `BENCH_*.json` wall times vs
-//! the committed baselines).
+//! [`elanib_core::EXHIBITS`] must be claimed by an expectation file).
 //!
 //! Lives in the library (not the binary) so the integration tests can
 //! run the exact production code path against mutated CSV fixtures.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use elanib_validate::report::{escape, Report};
 
@@ -21,22 +18,6 @@ pub struct ConformanceOptions {
     pub results: PathBuf,
     /// Where to write `conformance.json` (`None` = don't).
     pub json: Option<PathBuf>,
-    /// Fresh BENCH JSONL (e.g. produced during this CI run).
-    pub bench_current: Option<PathBuf>,
-    /// Committed baseline JSONL (`BENCH_regen.json` / `BENCH_sweep.json`).
-    pub bench_baselines: Vec<PathBuf>,
-    /// Wall-time ratio above which a record is flagged. Deliberately
-    /// generous: the gate exists to catch a 10x accidental slowdown
-    /// (an O(n^2) regression, a cache left off), not 20% noise.
-    pub bench_ratio: f64,
-    /// Promote bench warnings to failures.
-    pub strict: bool,
-    /// `Some(r)` promotes the events/s regression check from warn-only
-    /// to FAILING at ratio `r`: a sweep record whose throughput fell
-    /// more than `r`x below the best baseline on record fails the run
-    /// outright (regardless of `strict`). Records under the
-    /// [`EPS_GATE_MIN_EVENTS`] noise floor are never judged.
-    pub eps_gate: Option<f64>,
 }
 
 impl ConformanceOptions {
@@ -45,11 +26,6 @@ impl ConformanceOptions {
             expectations,
             results,
             json: None,
-            bench_current: None,
-            bench_baselines: Vec::new(),
-            bench_ratio: 8.0,
-            strict: false,
-            eps_gate: None,
         }
     }
 }
@@ -61,28 +37,16 @@ pub struct Outcome {
     /// naming unknown exhibits.
     pub uncovered: Vec<String>,
     pub unknown_exhibits: Vec<String>,
-    /// Bench-gate messages (warnings unless `strict`).
-    pub bench_flags: Vec<String>,
-    /// Events/s regressions under the failing gate
-    /// ([`ConformanceOptions::eps_gate`]); always count against
-    /// [`Outcome::ok`].
-    pub eps_failures: Vec<String>,
-    pub strict: bool,
 }
 
 impl Outcome {
-    /// Expectations + coverage verdict (bench flags only fail strict
-    /// runs; events/s failures under the promoted gate always fail).
+    /// Expectations + coverage verdict.
     pub fn ok(&self) -> bool {
-        self.report.ok()
-            && self.uncovered.is_empty()
-            && self.unknown_exhibits.is_empty()
-            && self.eps_failures.is_empty()
-            && (self.bench_flags.is_empty() || !self.strict)
+        self.report.ok() && self.uncovered.is_empty() && self.unknown_exhibits.is_empty()
     }
 
     /// Full human-readable rendering: the expectation report, then
-    /// coverage, then the bench gate.
+    /// coverage.
     pub fn render_text(&self) -> String {
         let mut out = self.report.render_text();
         if !self.uncovered.is_empty() {
@@ -98,20 +62,11 @@ impl Outcome {
                 self.unknown_exhibits.join(", ")
             ));
         }
-        for f in &self.bench_flags {
-            out.push_str(&format!(
-                "\nBENCH {}: {f}\n",
-                if self.strict { "FAIL" } else { "WARN" }
-            ));
-        }
-        for f in &self.eps_failures {
-            out.push_str(&format!("\nBENCH FAIL (events/s gate): {f}\n"));
-        }
         out
     }
 
-    /// `conformance.json`: the validator's JSON with the repo-level
-    /// gates appended, still deterministic.
+    /// `conformance.json`: the validator's JSON with the coverage
+    /// verdict appended, still deterministic.
     pub fn to_json(&self) -> String {
         let core = self.report.to_json();
         // Splice our extra fields before the final closing brace.
@@ -136,23 +91,6 @@ impl Outcome {
         out.push_str(&format!(
             ",\n  \"unknown_exhibits\": [{}]",
             self.unknown_exhibits
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!(
-            ",\n  \"bench_strict\": {},\n  \"bench_flags\": [{}]",
-            self.strict,
-            self.bench_flags
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!(
-            ",\n  \"eps_failures\": [{}]",
-            self.eps_failures
                 .iter()
                 .map(|s| format!("\"{}\"", escape(s)))
                 .collect::<Vec<_>>()
@@ -183,344 +121,9 @@ pub fn run(opts: &ConformanceOptions) -> Result<Outcome, String> {
         .map(|f| format!("{} (from {})", f.exhibit, f.source))
         .collect();
 
-    let (bench_flags, eps_failures) = match &opts.bench_current {
-        Some(current) => bench_gate(
-            current,
-            &opts.bench_baselines,
-            opts.bench_ratio,
-            opts.eps_gate,
-        )?,
-        None => (Vec::new(), Vec::new()),
-    };
-
     Ok(Outcome {
         report,
         uncovered,
         unknown_exhibits,
-        bench_flags,
-        eps_failures,
-        strict: opts.strict,
     })
-}
-
-/// Records shorter than this are never gated: sub-quarter-second
-/// exhibits (the cost tables) have wall times dominated by process
-/// noise, and flagging a 0.4 ms -> 4 ms "regression" helps nobody.
-const BENCH_FLOOR_S: f64 = 0.25;
-
-/// Noise floor for the FAILING events/s gate: records with fewer
-/// simulated events than this are never judged — a per-event rate over
-/// a handful of dispatches is dominated by process startup noise. The
-/// kernel micro-bench scenarios all clear this comfortably.
-const EPS_GATE_MIN_EVENTS: f64 = 50_000.0;
-
-/// Compare per-exhibit wall times in `current` against the best
-/// (minimum) wall time per exhibit across the `baselines`, and sweep
-/// events/s against the best (maximum) baseline. Returns
-/// `(warn_flags, eps_failures)`: wall-time regressions (and, when
-/// `eps_gate` is `None`, throughput regressions at `ratio`) are
-/// warn-only flags; with `eps_gate = Some(r)` the throughput check is
-/// instead judged at ratio `r` over the [`EPS_GATE_MIN_EVENTS`] noise
-/// floor and its findings land in the failing bucket.
-fn bench_gate(
-    current: &Path,
-    baselines: &[PathBuf],
-    ratio: f64,
-    eps_gate: Option<f64>,
-) -> Result<(Vec<String>, Vec<String>), String> {
-    let mut base: BTreeMap<String, f64> = BTreeMap::new();
-    let mut base_eps: BTreeMap<String, f64> = BTreeMap::new();
-    for b in baselines {
-        for (key, wall, eps, _events) in parse_bench_jsonl(b)? {
-            if let Some(eps) = eps {
-                let e = base_eps.entry(key.clone()).or_insert(eps);
-                if eps > *e {
-                    *e = eps;
-                }
-            }
-            let e = base.entry(key).or_insert(wall);
-            if wall < *e {
-                *e = wall;
-            }
-        }
-    }
-    if base.is_empty() {
-        return Err(format!(
-            "bench gate: no baseline records found in {}",
-            baselines
-                .iter()
-                .map(|p| p.display().to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    // Best current wall per key too: a warm-cache rerun in the same
-    // file must not be penalized by its cold predecessor. For sweep
-    // records the best (max) events/s is tracked alongside, together
-    // with the wall and event count of the record that achieved it.
-    let mut cur: BTreeMap<String, f64> = BTreeMap::new();
-    let mut cur_eps: BTreeMap<String, (f64, f64, f64)> = BTreeMap::new();
-    for (key, wall, eps, events) in parse_bench_jsonl(current)? {
-        if let Some(eps) = eps {
-            let e = cur_eps.entry(key.clone()).or_insert((eps, wall, events));
-            if eps > e.0 {
-                *e = (eps, wall, events);
-            }
-        }
-        let e = cur.entry(key).or_insert(wall);
-        if wall < *e {
-            *e = wall;
-        }
-    }
-    let mut flags = Vec::new();
-    let mut failures = Vec::new();
-    for (key, wall) in &cur {
-        let Some(b) = base.get(key) else { continue };
-        if *wall >= BENCH_FLOOR_S && *wall > b * ratio {
-            flags.push(format!(
-                "{key}: {wall:.2} s vs baseline {b:.2} s ({:.1}x > allowed {ratio}x)",
-                wall / b
-            ));
-        }
-    }
-    // Throughput gate: a sweep whose simulated events/s dropped by more
-    // than the allowed ratio against the best baseline is flagged.
-    // Kernel-dispatch regressions show up here even when wall time
-    // hides behind cache hits or a smaller grid, because the metric is
-    // normalized per event. Warn-only at `ratio` by default; with
-    // `eps_gate` the check fails the run at that (generous) ratio.
-    let eps_ratio = eps_gate.unwrap_or(ratio);
-    for (key, (eps, wall, events)) in &cur_eps {
-        let Some(b) = base_eps.get(key) else { continue };
-        let judged = match eps_gate {
-            // The failing gate's floor is event-count based: a rate is
-            // only trustworthy over enough dispatches.
-            Some(_) => *events >= EPS_GATE_MIN_EVENTS,
-            None => *wall >= BENCH_FLOOR_S,
-        };
-        if judged && *eps * eps_ratio < *b {
-            let msg = format!(
-                "{key}: {:.2}M events/s vs best on record {:.2}M ({:.1}x slower > allowed {eps_ratio}x)",
-                eps / 1e6,
-                b / 1e6,
-                b / eps
-            );
-            if eps_gate.is_some() {
-                failures.push(msg);
-            } else {
-                flags.push(msg);
-            }
-        }
-    }
-    Ok((flags, failures))
-}
-
-/// Minimal JSONL field extraction: each line is one flat record; we
-/// need its label (`"exhibit"` or `"label"`, prefixed with `kind` so
-/// sweep and regen records never collide), its `wall_s`, and — for
-/// sweep records — its `events_per_sec` (None on regen records, which
-/// carry no event counter) plus the event count behind that rate (0
-/// when absent), which the failing events/s gate uses as its noise
-/// floor.
-type BenchRecord = (String, f64, Option<f64>, f64);
-
-fn parse_bench_jsonl(path: &Path) -> Result<Vec<BenchRecord>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("bench gate: cannot read {}: {e}", path.display()))?;
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some(wall) = json_num_field(line, "wall_s") else {
-            continue;
-        };
-        let kind = json_str_field(line, "kind").unwrap_or_else(|| "?".into());
-        let Some(label) = json_str_field(line, "exhibit").or_else(|| json_str_field(line, "label"))
-        else {
-            continue;
-        };
-        let eps = json_num_field(line, "events_per_sec");
-        let events = json_num_field(line, "events").unwrap_or(0.0);
-        out.push((format!("{kind}:{label}"), wall, eps, events));
-    }
-    Ok(out)
-}
-
-pub(crate) fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    // BENCH labels never contain escaped quotes; a plain find is exact
-    // for everything the harness emits.
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-pub(crate) fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    rest.parse().ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn jsonl_field_extraction() {
-        let line = r#"{"kind":"regen","exhibit":"fig2_ljs","wall_s":0.531003,"cache_hits":0}"#;
-        assert_eq!(json_str_field(line, "kind").as_deref(), Some("regen"));
-        assert_eq!(json_str_field(line, "exhibit").as_deref(), Some("fig2_ljs"));
-        assert_eq!(json_num_field(line, "wall_s"), Some(0.531003));
-        assert_eq!(json_str_field(line, "label"), None);
-    }
-
-    #[test]
-    fn bench_gate_flags_only_large_slow_records() {
-        let dir = std::env::temp_dir().join("elanib-bench-gate-test");
-        let _ = std::fs::create_dir_all(&dir);
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        std::fs::write(
-            &base,
-            concat!(
-                "{\"kind\":\"regen\",\"exhibit\":\"slow\",\"wall_s\":0.5}\n",
-                "{\"kind\":\"regen\",\"exhibit\":\"tiny\",\"wall_s\":0.0001}\n",
-            ),
-        )
-        .unwrap();
-        std::fs::write(
-            &cur,
-            concat!(
-                // 10x over the 0.5 s baseline -> flagged.
-                "{\"kind\":\"regen\",\"exhibit\":\"slow\",\"wall_s\":5.0}\n",
-                // 100x over baseline but under the absolute floor -> ignored.
-                "{\"kind\":\"regen\",\"exhibit\":\"tiny\",\"wall_s\":0.01}\n",
-                // No baseline -> ignored.
-                "{\"kind\":\"regen\",\"exhibit\":\"new\",\"wall_s\":9.0}\n",
-            ),
-        )
-        .unwrap();
-        let (flags, _) = bench_gate(&cur, std::slice::from_ref(&base), 8.0, None).unwrap();
-        assert_eq!(flags.len(), 1, "{flags:?}");
-        assert!(flags[0].starts_with("regen:slow"), "{}", flags[0]);
-        // A second, faster record for the same exhibit rescues it.
-        std::fs::write(
-            &cur,
-            concat!(
-                "{\"kind\":\"regen\",\"exhibit\":\"slow\",\"wall_s\":5.0}\n",
-                "{\"kind\":\"regen\",\"exhibit\":\"slow\",\"wall_s\":0.6}\n",
-            ),
-        )
-        .unwrap();
-        assert!(bench_gate(&cur, &[base], 8.0, None).unwrap().0.is_empty());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn bench_gate_flags_events_per_sec_regressions() {
-        let dir = std::env::temp_dir().join("elanib-bench-eps-gate-test");
-        let _ = std::fs::create_dir_all(&dir);
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        std::fs::write(
-            &base,
-            concat!(
-                "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"wall_s\":1.0,\"events_per_sec\":8000000.0}\n",
-                "{\"kind\":\"sweep\",\"label\":\"fig6_nascg\",\"wall_s\":1.0,\"events_per_sec\":6000000.0}\n",
-            ),
-        )
-        .unwrap();
-        std::fs::write(
-            &cur,
-            concat!(
-                // 10x fewer events/s at comparable wall -> flagged.
-                "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"wall_s\":1.0,\"events_per_sec\":800000.0}\n",
-                // Slower but within ratio -> clean.
-                "{\"kind\":\"sweep\",\"label\":\"fig6_nascg\",\"wall_s\":1.0,\"events_per_sec\":2000000.0}\n",
-                // Huge drop but under the wall floor (cache-warmed
-                // blip, not a trustworthy sample) -> ignored.
-                "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"wall_s\":0.001,\"events_per_sec\":1.0}\n",
-            ),
-        )
-        .unwrap();
-        let (flags, fails) = bench_gate(&cur, std::slice::from_ref(&base), 8.0, None).unwrap();
-        assert_eq!(flags.len(), 1, "{flags:?}");
-        assert!(
-            fails.is_empty(),
-            "warn-only mode must never fail: {fails:?}"
-        );
-        assert!(
-            flags[0].starts_with("sweep:fig2_ljs") && flags[0].contains("events/s"),
-            "{}",
-            flags[0]
-        );
-        // A faster sweep record for the same label rescues it.
-        std::fs::write(
-            &cur,
-            concat!(
-                "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"wall_s\":1.0,\"events_per_sec\":800000.0}\n",
-                "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"wall_s\":1.0,\"events_per_sec\":7500000.0}\n",
-            ),
-        )
-        .unwrap();
-        assert!(bench_gate(&cur, &[base], 8.0, None).unwrap().0.is_empty());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn eps_gate_fails_regressions_over_the_event_floor() {
-        let dir = std::env::temp_dir().join("elanib-eps-gate-fail-test");
-        let _ = std::fs::create_dir_all(&dir);
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        std::fs::write(
-            &base,
-            concat!(
-                "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"events\":2000000,\"wall_s\":0.5,\"events_per_sec\":4000000.0}\n",
-                "{\"kind\":\"sweep\",\"label\":\"kernel_timers\",\"events\":1000000,\"wall_s\":0.1,\"events_per_sec\":10000000.0}\n",
-            ),
-        )
-        .unwrap();
-        std::fs::write(
-            &cur,
-            concat!(
-                // 2.5x below best on record, plenty of events -> FAILS.
-                "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"events\":2000000,\"wall_s\":1.25,\"events_per_sec\":1600000.0}\n",
-                // Short wall but above the event floor: the failing
-                // gate judges it (wall floor doesn't apply) — within
-                // 2x, so clean.
-                "{\"kind\":\"sweep\",\"label\":\"kernel_timers\",\"events\":1000000,\"wall_s\":0.12,\"events_per_sec\":8000000.0}\n",
-                // Huge drop but under the event floor -> ignored.
-                "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"events\":100,\"wall_s\":1.0,\"events_per_sec\":100.0}\n",
-            ),
-        )
-        .unwrap();
-        // Best-per-key semantics: the 100-event record can't drag down
-        // fig2_ljs because the 1.6M record is the best current one —
-        // and that one is a genuine 2.5x regression.
-        let (flags, fails) = bench_gate(&cur, std::slice::from_ref(&base), 8.0, Some(2.0)).unwrap();
-        assert!(flags.is_empty(), "{flags:?}");
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(
-            fails[0].starts_with("sweep:fig2_ljs") && fails[0].contains("2.5x slower"),
-            "{}",
-            fails[0]
-        );
-        // Recovered throughput -> the failing gate passes clean.
-        std::fs::write(
-            &cur,
-            "{\"kind\":\"sweep\",\"label\":\"fig2_ljs\",\"events\":2000000,\"wall_s\":0.48,\"events_per_sec\":4100000.0}\n",
-        )
-        .unwrap();
-        let (_, fails) = bench_gate(&cur, &[base], 8.0, Some(2.0)).unwrap();
-        assert!(fails.is_empty(), "{fails:?}");
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }

@@ -7,7 +7,6 @@
 
 pub mod conformance;
 pub mod perf_report;
-pub mod rotate;
 
 use std::fs;
 use std::path::PathBuf;
@@ -33,7 +32,7 @@ struct Mark {
 static LAST_MARK: Mutex<Option<Mark>> = Mutex::new(None);
 
 /// Called first thing in every exhibit driver's `main`: pins the
-/// wall-clock epoch so the first exhibit's `{"kind":"regen"}` record
+/// wall-clock epoch so the first exhibit's `[regen …]` line
 /// covers its simulation time, not just the `emit` call.
 pub fn regen_begin() {
     let _ = *EPOCH;
@@ -42,11 +41,9 @@ pub fn regen_begin() {
 /// Per-exhibit regeneration record: wall time since the previous
 /// exhibit (or [`regen_begin`]) and the point-cache traffic deltas.
 ///
-/// Reported three ways, none touching stdout (which must stay
+/// Reported two ways, neither touching stdout (which must stay
 /// byte-stable):
 /// * a stderr `[regen …]` line (`regen_all.sh` surfaces these);
-/// * a `{"kind":"regen"}` JSON line appended to `ELANIB_BENCH_JSON`
-///   (the `BENCH_regen.json` methodology record — see EXPERIMENTS.md);
 /// * `cache.hits/misses/stores` counters submitted through the
 ///   trace/metrics registry when metrics are enabled, so the deltas
 ///   land in the exhibit's `<name>.metrics.{json,csv}` next to the
@@ -79,26 +76,6 @@ fn record_regen(name: &str) {
         delta.corrupt,
         delta.hit_rate() * 100.0,
     );
-    if let Ok(path) = std::env::var("ELANIB_BENCH_JSON") {
-        if !path.is_empty() {
-            let ts = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            let git_rev = elanib_simcore::trace::git_rev();
-            let line = format!(
-                "{{\"kind\":\"regen\",\"schema\":3,\"git_rev\":\"{git_rev}\",\"exhibit\":\"{}\",\"wall_s\":{:.6},\"cache_mode\":\"{mode}\",\"cache_hits\":{},\"cache_misses\":{},\"cache_stores\":{},\"cache_corrupt\":{},\"hit_rate\":{:.4},\"unix_ts\":{ts}}}",
-                name.replace('\\', "\\\\").replace('"', "\\\""),
-                wall.as_secs_f64(),
-                delta.hits,
-                delta.misses,
-                delta.stores,
-                delta.corrupt,
-                delta.hit_rate(),
-            );
-            let _ = elanib_simcore::trace::jsonl::append_line(std::path::Path::new(&path), &line);
-        }
-    }
     if delta.hits + delta.misses > 0 {
         if let Some(tr) = elanib_simcore::trace::Tracer::from_config(0) {
             if tr.metrics_on() {
@@ -127,9 +104,8 @@ fn record_regen(name: &str) {
 ///
 /// Each call also records a regeneration report for the table: wall
 /// time since the previous `emit` (or `regen_begin`) and the point
-/// cache's hit/miss/store delta over the same window — one
-/// `[regen <name>: ...]` stderr line, plus a `{"kind":"regen",...}`
-/// JSON record when `ELANIB_BENCH_JSON` is set.
+/// cache's hit/miss/store delta over the same window, as one
+/// `[regen <name>: ...]` stderr line.
 pub fn emit(exhibit_id: &str, name: &str, table: &TextTable) {
     if let Some(e) = exhibit(exhibit_id) {
         println!("== {} — {} ==", e.id, e.title);
@@ -169,9 +145,8 @@ pub fn emit(exhibit_id: &str, name: &str, table: &TextTable) {
 /// The node counts of the paper's application studies.
 pub const STUDY_NODES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
-/// Report a sweep's throughput on stderr (keeping stdout — the
-/// captured exhibit output — byte-stable run to run) and append the
-/// `{"kind":"sweep"}` JSON record when `ELANIB_BENCH_JSON` is set.
+/// Report a sweep's throughput on stderr, keeping stdout (the
+/// captured exhibit output) byte-stable run to run.
 pub fn report_sweep(label: &str, stats: &elanib_core::SweepStats) {
     eprintln!(
         "[sweep {label}: {} jobs on {} threads, {:.2} s wall, {:.1}M events/s]",
@@ -180,7 +155,6 @@ pub fn report_sweep(label: &str, stats: &elanib_core::SweepStats) {
         stats.wall.as_secs_f64(),
         stats.events_per_sec() / 1e6,
     );
-    stats.record(label);
 }
 
 /// Build the Figure 2/3 table: the four-curve MD scaled study

@@ -1,192 +1,121 @@
-//! Driver behind the `elanib-report` binary: merge BENCH history,
-//! profiler output and `conformance.json` into one perf dashboard.
+//! The `elanib-report` binary's library half: the repository
+//! benchmark's run records plus the conformance verdict, rendered as
+//! one perf dashboard.
 //!
-//! Inputs are the flat JSONL records the rest of the repo already
-//! emits to `ELANIB_BENCH_JSON` — `{"kind":"regen"}` per-exhibit wall
-//! times, `{"kind":"sweep"}` throughput records (with the schema-3
-//! per-worker breakdown), `{"kind":"profile"}` kernel-profiler
-//! flushes — plus the conformance run's JSON verdict. Output is a
-//! markdown dashboard (`perf_report.md`) and a structured JSON twin
-//! (`perf_report.json`), both deterministic functions of the input
-//! files: records are processed in file order, line order, and every
-//! table is sorted by explicit keys, so re-running the report on the
-//! same inputs is byte-identical.
+//! Inputs are whole stdout captures of `benchmark/` runs and the
+//! conformance run's `conformance.json`. Of a capture only the run
+//! records count, the lines starting `{"workload"` (format in
+//! `benchmark/README.md`, "Output and `--compare`"): an untraced record
+//! (`"trace":0`) carries the end-to-end metrics, a traced one
+//! (`"trace":1`) the per-layer metrics, each as
+//! `"name":{"value":…,"unit":…}`. Output is a markdown dashboard
+//! (`perf_report.md`) and a JSON twin (`perf_report.json`), both pure
+//! functions of the input files: records group by workload and seed in
+//! order of first appearance, so re-running the report on the same
+//! inputs is byte-identical.
 //!
-//! The report also extends the warn-only regression gate from wall
-//! time to **per-event-type cost**: for each exhibit with profile
-//! history, the latest `ns/event` of every kernel bucket is compared
-//! against the best historical value; a bucket that got more than
-//! `ratio` times slower is flagged (warning by default, failure with
-//! `--strict`) — the same generous-threshold policy as the bench gate,
-//! but attributed to a named kernel bucket instead of a whole run.
+//! The report only renders. Gates live where the numbers are made:
+//! `benchmark --compare` for the traced counts, `kernelbench` for
+//! kernel events/s and allocations, `conformance` for the paper's
+//! shapes.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::conformance::{json_num_field, json_str_field};
+/// One metric of a run record: name, value, unit.
+type Metric = (String, f64, String);
 
-/// Kernel buckets a profile record reports, in record order.
-const BUCKETS: [&str; 4] = ["poll", "timer", "call", "wake"];
-
-/// Buckets with fewer events than this are not cost-gated: per-event
-/// cost over a handful of dispatches is process noise. Shared with the
-/// BENCH rotation so it preserves exactly the records this gate
-/// considers "best".
-pub(crate) const GATE_MIN_EVENTS: f64 = 10_000.0;
-
-/// One `{"kind":"sweep"}` or `{"kind":"regen"}` record.
-#[derive(Clone, Debug, Default)]
-struct WallRecord {
-    label: String,
-    wall_s: f64,
-    events_per_sec: Option<f64>,
-    threads: Option<f64>,
-    jobs: Option<f64>,
-    /// Per-worker `(jobs, events, busy_s)` from the schema-3 breakdown.
-    workers: Vec<(f64, f64, f64)>,
-}
-
-/// One `{"kind":"profile"}` record.
-#[derive(Clone, Debug, Default)]
-struct ProfileRecord {
-    exhibit: String,
-    sims: f64,
-    events: f64,
-    run_wall_ns: f64,
-    attribution_pct: f64,
-    /// `(count, wall_ns)` per bucket, indexed like [`BUCKETS`].
-    buckets: [(f64, f64); 4],
-}
-
-impl ProfileRecord {
-    fn ns_per_event(&self, b: usize) -> Option<f64> {
-        let (count, wall) = self.buckets[b];
-        (count > 0.0).then(|| wall / count)
-    }
-}
-
-/// Everything parsed out of the input files.
-#[derive(Debug, Default)]
-struct History {
-    /// Records in input order, keyed for "latest" = last occurrence.
-    regen: Vec<WallRecord>,
-    sweeps: Vec<WallRecord>,
-    profiles: Vec<ProfileRecord>,
-    inputs: Vec<String>,
-    git_revs: Vec<String>,
+/// One benchmark run record.
+#[derive(Debug)]
+struct RunRecord {
+    workload: String,
+    seed: u64,
+    trace: bool,
+    /// In record order (the benchmark's catalogue order).
+    metrics: Vec<Metric>,
 }
 
 /// The generated report.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PerfReport {
     pub markdown: String,
     pub json: String,
-    /// Per-event-type cost regressions (warn-only unless strict).
-    pub flags: Vec<String>,
 }
 
-/// Extract the bodies of the objects in a `"key":[{...},{...}]` array
-/// (flat objects only — exactly what the sweep record emits).
-fn json_obj_array(line: &str, key: &str) -> Vec<String> {
-    let pat = format!("\"{key}\":[");
-    let Some(start) = line.find(&pat) else {
-        return Vec::new();
-    };
-    let rest = &line[start + pat.len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split('{')
-        .filter(|s| !s.is_empty())
-        .map(|s| format!("{{{}", s.trim_end_matches(',')))
-        .collect()
+/// The string value of the first `"key":"…"` in `line`.
+fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":\"");
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    Some(&rest[..rest.find('"')?])
 }
 
-fn parse_line(line: &str, h: &mut History) {
-    let Some(kind) = json_str_field(line, "kind") else {
-        return;
-    };
-    if let Some(rev) = json_str_field(line, "git_rev") {
-        if !rev.is_empty() && !h.git_revs.contains(&rev) {
-            h.git_revs.push(rev);
-        }
+/// The number after the first `"key":` in `line`, unparsed (the
+/// benchmark prints plain decimals).
+fn num_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
+}
+
+/// The `"metrics"` object of a run record, entries in record order.
+/// Each entry is a flat object, `"name":{"value":…,"unit":…,…}`; a
+/// record cut short or otherwise out of that shape reads `None`.
+fn metrics(line: &str) -> Option<Vec<Metric>> {
+    const OPEN: &str = "\"metrics\":{";
+    let mut rest = &line[line.find(OPEN)? + OPEN.len()..];
+    let mut out = Vec::new();
+    while !rest.starts_with('}') {
+        let (name, body) = rest.strip_prefix('"')?.split_once("\":{")?;
+        let (entry, tail) = body.split_once('}')?;
+        let value = num_field(entry, "value")?.parse().ok()?;
+        let unit = str_field(entry, "unit")?;
+        out.push((name.to_string(), value, unit.to_string()));
+        rest = tail.strip_prefix(',').unwrap_or(tail);
     }
-    match kind.as_str() {
-        "regen" | "sweep" => {
-            let Some(label) =
-                json_str_field(line, "exhibit").or_else(|| json_str_field(line, "label"))
-            else {
-                return;
-            };
-            let Some(wall_s) = json_num_field(line, "wall_s") else {
-                return;
-            };
-            let rec = WallRecord {
-                label,
-                wall_s,
-                events_per_sec: json_num_field(line, "events_per_sec"),
-                threads: json_num_field(line, "threads"),
-                jobs: json_num_field(line, "jobs"),
-                workers: json_obj_array(line, "workers")
-                    .iter()
-                    .map(|w| {
-                        (
-                            json_num_field(w, "j").unwrap_or(0.0),
-                            json_num_field(w, "e").unwrap_or(0.0),
-                            json_num_field(w, "busy_s").unwrap_or(0.0),
-                        )
-                    })
-                    .collect(),
-            };
-            if kind == "regen" {
-                h.regen.push(rec);
-            } else {
-                h.sweeps.push(rec);
-            }
-        }
-        "profile" => {
-            let Some(exhibit) = json_str_field(line, "exhibit") else {
-                return;
-            };
-            let mut rec = ProfileRecord {
-                exhibit,
-                sims: json_num_field(line, "sims").unwrap_or(0.0),
-                events: json_num_field(line, "events").unwrap_or(0.0),
-                run_wall_ns: json_num_field(line, "run_wall_ns").unwrap_or(0.0),
-                attribution_pct: json_num_field(line, "attribution_pct").unwrap_or(0.0),
-                ..ProfileRecord::default()
-            };
-            for (i, b) in BUCKETS.iter().enumerate() {
-                rec.buckets[i] = (
-                    json_num_field(line, &format!("{b}_count")).unwrap_or(0.0),
-                    json_num_field(line, &format!("{b}_wall_ns")).unwrap_or(0.0),
-                );
-            }
-            h.profiles.push(rec);
-        }
-        _ => {}
-    }
+    Some(out)
 }
 
-fn load(inputs: &[PathBuf]) -> Result<History, String> {
-    let mut h = History::default();
+fn parse_record(line: &str) -> Result<RunRecord, &'static str> {
+    Ok(RunRecord {
+        workload: str_field(line, "workload")
+            .ok_or("no workload")?
+            .to_string(),
+        seed: num_field(line, "seed")
+            .and_then(|v| v.parse().ok())
+            .ok_or("no seed")?,
+        trace: num_field(line, "trace").ok_or("no trace")? == "1",
+        metrics: metrics(line).ok_or("unreadable metrics")?,
+    })
+}
+
+/// Every run record of every input, in input then line order. A file
+/// that cannot be read, holds a malformed run record or holds none at
+/// all is an error naming the file.
+fn load(inputs: &[PathBuf]) -> Result<Vec<RunRecord>, String> {
+    let mut out = Vec::new();
     for path in inputs {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("report: cannot read {}: {e}", path.display()))?;
-        h.inputs.push(
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| path.display().to_string()),
-        );
-        for line in text.lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                parse_line(line, &mut h);
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let before = out.len();
+        for (i, line) in text.lines().enumerate() {
+            if line.starts_with("{\"workload\"") {
+                let rec = parse_record(line).map_err(|what| {
+                    format!(
+                        "{}:{}: malformed run record ({what})",
+                        path.display(),
+                        i + 1
+                    )
+                })?;
+                out.push(rec);
             }
         }
+        if out.len() == before {
+            return Err(format!("{}: no benchmark run records", path.display()));
+        }
     }
-    Ok(h)
+    Ok(out)
 }
 
 /// Conformance summary pulled out of `conformance.json`.
@@ -194,249 +123,196 @@ fn load(inputs: &[PathBuf]) -> Result<History, String> {
 struct ConformanceSummary {
     present: bool,
     ok: bool,
-    bench_flags: usize,
+    terms: u64,
+    failed_terms: u64,
 }
 
 fn load_conformance(path: &Path) -> Result<ConformanceSummary, String> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("report: cannot read {}: {e}", path.display()))?;
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let flat = text.replace(char::is_whitespace, "");
     Ok(ConformanceSummary {
         present: true,
         ok: flat.contains("\"ok\":true"),
-        bench_flags: flat
-            .find("\"bench_flags\":[")
-            .map(|i| {
-                let rest = &flat[i + "\"bench_flags\":[".len()..];
-                let body = &rest[..rest.find(']').unwrap_or(0)];
-                if body.is_empty() {
-                    0
-                } else {
-                    body.matches('"').count() / 2
-                }
-            })
+        terms: num_field(&flat, "terms")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0),
+        failed_terms: num_field(&flat, "failed_terms")
+            .and_then(|v| v.parse().ok())
             .unwrap_or(0),
     })
 }
 
-fn fmt_eps(eps: f64) -> String {
-    format!("{:.2}M", eps / 1e6)
+/// The records of one workload and seed.
+struct Group<'a> {
+    workload: &'a str,
+    seed: u64,
+    runs: Vec<&'a RunRecord>,
 }
 
-/// Latest-vs-best trend tables keyed by label: `(best, latest, n)`.
-fn trend<'a>(
-    recs: impl Iterator<Item = &'a WallRecord>,
-    value: impl Fn(&WallRecord) -> Option<f64>,
-    best_is_max: bool,
-) -> BTreeMap<String, (f64, f64, usize)> {
-    let mut out: BTreeMap<String, (f64, f64, usize)> = BTreeMap::new();
-    for r in recs {
-        let Some(v) = value(r) else { continue };
-        let e = out.entry(r.label.clone()).or_insert((v, v, 0));
-        if (best_is_max && v > e.0) || (!best_is_max && v < e.0) {
-            e.0 = v;
+/// Group `records` with the given trace flag by (workload, seed), in
+/// order of first appearance.
+fn groups(records: &[RunRecord], trace: bool) -> Vec<Group<'_>> {
+    let mut out: Vec<Group> = Vec::new();
+    for r in records.iter().filter(|r| r.trace == trace) {
+        match out
+            .iter_mut()
+            .find(|g| g.workload == r.workload && g.seed == r.seed)
+        {
+            Some(g) => g.runs.push(r),
+            None => out.push(Group {
+                workload: &r.workload,
+                seed: r.seed,
+                runs: vec![r],
+            }),
         }
-        e.1 = v; // input order: last record wins "latest"
-        e.2 += 1;
     }
     out
 }
 
-/// Per-event-type cost gate: latest ns/event per (exhibit, bucket) vs
-/// the best (minimum) historical ns/event over the earlier records.
-fn cost_flags(profiles: &[ProfileRecord], ratio: f64) -> Vec<String> {
-    let mut flags = Vec::new();
-    let mut by_exhibit: BTreeMap<&str, Vec<&ProfileRecord>> = BTreeMap::new();
-    for p in profiles {
-        by_exhibit.entry(p.exhibit.as_str()).or_default().push(p);
-    }
-    for (exhibit, recs) in by_exhibit {
-        let (latest, history) = match recs.split_last() {
-            Some((l, h)) if !h.is_empty() => (l, h),
-            _ => continue, // nothing to compare against
-        };
-        for (b, name) in BUCKETS.iter().enumerate() {
-            let Some(now) = latest.ns_per_event(b) else {
-                continue;
-            };
-            if latest.buckets[b].0 < GATE_MIN_EVENTS {
-                continue;
-            }
-            let best = history
-                .iter()
-                .filter(|p| p.buckets[b].0 >= GATE_MIN_EVENTS)
-                .filter_map(|p| p.ns_per_event(b))
-                .fold(f64::INFINITY, f64::min);
-            if best.is_finite() && now > best * ratio {
-                flags.push(format!(
-                    "{exhibit}/{name}: {now:.1} ns/event vs best {best:.1} ({:.1}x > allowed {ratio}x)",
-                    now / best
-                ));
-            }
+/// Metric names and units over `groups`, in order of first appearance.
+fn columns(groups: &[Group]) -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = Vec::new();
+    for (name, _, unit) in groups.iter().flat_map(|g| &g.runs).flat_map(|r| &r.metrics) {
+        if !out.iter().any(|(n, _)| n == name) {
+            out.push((name.clone(), unit.clone()));
         }
     }
-    flags
+    out
 }
 
-/// Generate the dashboard from `inputs` (JSONL files, in order) and an
-/// optional `conformance.json`. Pure function of the file contents.
-pub fn generate(
-    inputs: &[PathBuf],
-    conformance: Option<&Path>,
-    ratio: f64,
-) -> Result<PerfReport, String> {
-    let h = load(inputs)?;
+fn value(r: &RunRecord, name: &str) -> Option<f64> {
+    r.metrics.iter().find(|m| m.0 == name).map(|m| m.1)
+}
+
+fn median(mut xs: Vec<f64>) -> Option<f64> {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    match n {
+        0 => None,
+        _ if n % 2 == 1 => Some(xs[n / 2]),
+        _ => Some((xs[n / 2 - 1] + xs[n / 2]) / 2.0),
+    }
+}
+
+/// Markdown cell: counts and large values whole, the rest to four
+/// decimals.
+fn cell(v: Option<f64>, unit: &str) -> String {
+    match v {
+        None => "—".to_string(),
+        Some(v) if matches!(unit, "count" | "B") || v.abs() >= 1000.0 => format!("{v:.0}"),
+        Some(v) => format!("{v:.4}"),
+    }
+}
+
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// One JSON object per group: workload, seed, runs and the `cols`
+/// metrics `value` gives it, absent values skipped.
+fn json_groups(
+    groups: &[Group],
+    cols: &[(String, String)],
+    value: impl Fn(&Group, &str) -> Option<f64>,
+) -> String {
+    groups
+        .iter()
+        .map(|g| {
+            let metrics: Vec<String> = cols
+                .iter()
+                .filter_map(|(name, _)| Some(format!("{}: {}", json_str(name), value(g, name)?)))
+                .collect();
+            format!(
+                "    {{\"workload\": {}, \"seed\": {}, \"runs\": {}, \"metrics\": {{{}}}}}",
+                json_str(g.workload),
+                g.seed,
+                g.runs.len(),
+                metrics.join(", ")
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n")
+}
+
+/// Generate the dashboard from benchmark captures (`inputs`, in order)
+/// and an optional `conformance.json`. Pure function of the file
+/// contents; `Err` names the file that could not be used.
+pub fn generate(inputs: &[PathBuf], conformance: Option<&Path>) -> Result<PerfReport, String> {
+    let records = load(inputs)?;
     let conf = match conformance {
         Some(p) => load_conformance(p)?,
         None => ConformanceSummary::default(),
     };
-    let flags = cost_flags(&h.profiles, ratio);
+    let file_name = |p: &Path| {
+        p.file_name()
+            .map_or_else(|| p.display().to_string(), |n| n.to_string_lossy().into())
+    };
+    let names: Vec<String> = inputs
+        .iter()
+        .map(|p| file_name(p))
+        .chain(conformance.map(file_name))
+        .collect();
 
-    let eps_trend = trend(h.sweeps.iter(), |r| r.events_per_sec, true);
-    let wall_trend = trend(h.regen.iter(), |r| Some(r.wall_s), false);
-
-    // Latest profile per exhibit, plus a cross-exhibit bucket rollup.
-    let mut latest_prof: BTreeMap<&str, &ProfileRecord> = BTreeMap::new();
-    for p in &h.profiles {
-        latest_prof.insert(p.exhibit.as_str(), p);
-    }
-    let mut rollup = [(0.0f64, 0.0f64); 4];
-    let mut roll_run_ns = 0.0f64;
-    for p in latest_prof.values() {
-        for (r, b) in rollup.iter_mut().zip(p.buckets.iter()) {
-            r.0 += b.0;
-            r.1 += b.1;
-        }
-        roll_run_ns += p.run_wall_ns;
-    }
+    // End to end: the median over each group's untraced runs.
+    let e2e = groups(&records, false);
+    let e2e_cols = columns(&e2e);
+    let e2e_value =
+        |g: &Group, name: &str| median(g.runs.iter().filter_map(|r| value(r, name)).collect());
+    // Per layer: each group's last traced run.
+    let layer = groups(&records, true);
+    let layer_cols = columns(&layer);
+    let layer_value = |g: &Group, name: &str| value(g.runs.last()?, name);
 
     // ---- markdown ----
     let mut md = String::from("# elanib perf report\n\n");
-    md.push_str(&format!("Inputs: {}\n", h.inputs.join(", ")));
-    if !h.git_revs.is_empty() {
-        md.push_str(&format!("Git revisions seen: {}\n", h.git_revs.join(", ")));
-    }
-    md.push('\n');
+    md.push_str(&format!("Inputs: {}\n\n", names.join(", ")));
 
-    md.push_str("## Sweep throughput (events/s per label)\n\n");
-    if eps_trend.is_empty() {
-        md.push_str("No sweep records.\n\n");
+    md.push_str("## End to end (untraced benchmark runs)\n\n");
+    if e2e.is_empty() {
+        md.push_str("No untraced run records.\n\n");
     } else {
-        md.push_str("| label | records | best | latest | latest/best |\n");
-        md.push_str("|---|---:|---:|---:|---:|\n");
-        for (label, (best, latest, n)) in &eps_trend {
+        md.push_str("Median over the runs of each workload and seed.\n\n");
+        md.push_str("| workload | seed | runs |");
+        for (name, unit) in &e2e_cols {
+            md.push_str(&format!(" {name} ({unit}) |"));
+        }
+        md.push_str("\n|---|---:|---:|");
+        md.push_str(&"---:|".repeat(e2e_cols.len()));
+        md.push('\n');
+        for g in &e2e {
             md.push_str(&format!(
-                "| {label} | {n} | {} | {} | {:.2} |\n",
-                fmt_eps(*best),
-                fmt_eps(*latest),
-                latest / best
+                "| {} | {} | {} |",
+                g.workload,
+                g.seed,
+                g.runs.len()
             ));
+            for (name, unit) in &e2e_cols {
+                md.push_str(&format!(" {} |", cell(e2e_value(g, name), unit)));
+            }
+            md.push('\n');
         }
         md.push('\n');
     }
 
-    md.push_str("## Regen wall time (s per exhibit)\n\n");
-    if wall_trend.is_empty() {
-        md.push_str("No regen records.\n\n");
+    md.push_str("## Per layer (traced benchmark runs)\n\n");
+    if layer.is_empty() {
+        md.push_str("No traced run records.\n\n");
     } else {
-        md.push_str("| exhibit | records | best | latest | latest/best |\n");
-        md.push_str("|---|---:|---:|---:|---:|\n");
-        for (label, (best, latest, n)) in &wall_trend {
-            md.push_str(&format!(
-                "| {label} | {n} | {best:.3} | {latest:.3} | {:.2} |\n",
-                latest / best.max(1e-9)
-            ));
+        md.push_str("The last traced run of each workload and seed.\n\n");
+        md.push_str("| metric | unit |");
+        for g in &layer {
+            md.push_str(&format!(" {} seed {} |", g.workload, g.seed));
         }
+        md.push_str("\n|---|---|");
+        md.push_str(&"---:|".repeat(layer.len()));
         md.push('\n');
-    }
-
-    md.push_str("## Hot kernel events (latest profile per exhibit, rolled up)\n\n");
-    if latest_prof.is_empty() {
-        md.push_str("No profile records (run with ELANIB_PROFILE=1 to collect).\n\n");
-    } else {
-        let total_attr: f64 = rollup.iter().map(|&(_, w)| w).sum();
-        let pct = if roll_run_ns > 0.0 {
-            100.0 * total_attr / roll_run_ns
-        } else {
-            100.0
-        };
-        md.push_str("| bucket | events | wall ms | ns/event | share of attributed |\n");
-        md.push_str("|---|---:|---:|---:|---:|\n");
-        let mut order: Vec<usize> = (0..BUCKETS.len()).collect();
-        order.sort_by(|&a, &b| rollup[b].1.total_cmp(&rollup[a].1));
-        for b in order {
-            let (count, wall) = rollup[b];
-            let npe = if count > 0.0 { wall / count } else { 0.0 };
-            md.push_str(&format!(
-                "| {} | {:.0} | {:.2} | {npe:.1} | {:.1}% |\n",
-                BUCKETS[b],
-                count,
-                wall / 1e6,
-                if total_attr > 0.0 {
-                    100.0 * wall / total_attr
-                } else {
-                    0.0
-                }
-            ));
-        }
-        md.push('\n');
-        md.push_str(&format!(
-            "Attribution: **{pct:.1}%** of measured kernel wall time is in named buckets.\n\n"
-        ));
-        md.push_str("Per exhibit:\n\n");
-        md.push_str("| exhibit | sims | events | run wall ms | attribution |\n");
-        md.push_str("|---|---:|---:|---:|---:|\n");
-        for (exhibit, p) in &latest_prof {
-            md.push_str(&format!(
-                "| {exhibit} | {:.0} | {:.0} | {:.2} | {:.1}% |\n",
-                p.sims,
-                p.events,
-                p.run_wall_ns / 1e6,
-                p.attribution_pct
-            ));
-        }
-        md.push('\n');
-    }
-
-    md.push_str("## Worker efficiency\n\n");
-    let pooled: Vec<&WallRecord> = h.sweeps.iter().filter(|r| !r.workers.is_empty()).collect();
-    if pooled.is_empty() {
-        md.push_str("No sweep records with worker breakdowns (schema 3).\n\n");
-    } else {
-        md.push_str("| label | threads | jobs | events/s | worker balance |\n");
-        md.push_str("|---|---:|---:|---:|---:|\n");
-        for r in pooled {
-            let balance = if r.workers.len() > 1 {
-                let evs: Vec<f64> = r.workers.iter().map(|&(_, e, _)| e).collect();
-                let max = evs.iter().cloned().fold(0.0f64, f64::max);
-                let mean = evs.iter().sum::<f64>() / evs.len() as f64;
-                if mean > 0.0 {
-                    format!("{:.2} max/mean", max / mean)
-                } else {
-                    "—".to_string()
-                }
-            } else {
-                "—".to_string()
-            };
-            md.push_str(&format!(
-                "| {} | {} | {} | {} | {balance} |\n",
-                r.label,
-                r.threads.map_or("—".into(), |t| format!("{t:.0}")),
-                r.jobs.map_or("—".into(), |j| format!("{j:.0}")),
-                r.events_per_sec.map_or("—".into(), fmt_eps),
-            ));
-        }
-        md.push('\n');
-    }
-
-    md.push_str("## Per-event-type cost gate\n\n");
-    if flags.is_empty() {
-        md.push_str(&format!(
-            "Clean: no kernel bucket got more than {ratio}x slower than its best historical ns/event.\n\n"
-        ));
-    } else {
-        for f in &flags {
-            md.push_str(&format!("- WARN {f}\n"));
+        for (name, unit) in &layer_cols {
+            md.push_str(&format!("| {name} | {unit} |"));
+            for g in &layer {
+                md.push_str(&format!(" {} |", cell(layer_value(g, name), unit)));
+            }
+            md.push('\n');
         }
         md.push('\n');
     }
@@ -444,9 +320,10 @@ pub fn generate(
     md.push_str("## Conformance\n\n");
     if conf.present {
         md.push_str(&format!(
-            "conformance.json: **{}**, {} bench flag(s).\n",
+            "conformance.json: **{}**, {} of {} term(s) violated.\n",
             if conf.ok { "ok" } else { "FAILING" },
-            conf.bench_flags
+            conf.failed_terms,
+            conf.terms
         ));
     } else {
         md.push_str("No conformance.json supplied.\n");
@@ -456,74 +333,28 @@ pub fn generate(
     let mut js = String::from("{\n");
     js.push_str(&format!(
         "  \"inputs\": [{}],\n",
-        h.inputs
+        names
             .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    js.push_str("  \"sweep_eps\": {");
-    js.push_str(
-        &eps_trend
-            .iter()
-            .map(|(l, (b, latest, n))| {
-                format!("\"{l}\": {{\"best\": {b:.1}, \"latest\": {latest:.1}, \"records\": {n}}}")
-            })
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    js.push_str("},\n  \"regen_wall_s\": {");
-    js.push_str(
-        &wall_trend
-            .iter()
-            .map(|(l, (b, latest, n))| {
-                format!("\"{l}\": {{\"best\": {b:.6}, \"latest\": {latest:.6}, \"records\": {n}}}")
-            })
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    js.push_str("},\n  \"profiles\": {");
-    js.push_str(
-        &latest_prof
-            .iter()
-            .map(|(e, p)| {
-                let buckets = BUCKETS
-                    .iter()
-                    .enumerate()
-                    .map(|(b, name)| {
-                        format!(
-                            "\"{name}\": {{\"count\": {:.0}, \"wall_ns\": {:.0}}}",
-                            p.buckets[b].0, p.buckets[b].1
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!(
-                    "\"{e}\": {{\"events\": {:.0}, \"run_wall_ns\": {:.0}, \"attribution_pct\": {:.2}, {buckets}}}",
-                    p.events, p.run_wall_ns, p.attribution_pct
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    js.push_str("},\n");
-    js.push_str(&format!(
-        "  \"cost_flags\": [{}],\n",
-        flags
-            .iter()
-            .map(|f| format!("\"{}\"", f.replace('"', "\\\"")))
+            .map(|s| json_str(s))
             .collect::<Vec<_>>()
             .join(", ")
     ));
     js.push_str(&format!(
-        "  \"conformance\": {{\"present\": {}, \"ok\": {}, \"bench_flags\": {}}}\n}}\n",
-        conf.present, conf.ok, conf.bench_flags
+        "  \"end_to_end\": [\n{}\n  ],\n",
+        json_groups(&e2e, &e2e_cols, e2e_value)
+    ));
+    js.push_str(&format!(
+        "  \"per_layer\": [\n{}\n  ],\n",
+        json_groups(&layer, &layer_cols, layer_value)
+    ));
+    js.push_str(&format!(
+        "  \"conformance\": {{\"present\": {}, \"ok\": {}, \"terms\": {}, \"failed_terms\": {}}}\n}}\n",
+        conf.present, conf.ok, conf.terms, conf.failed_terms
     ));
 
     Ok(PerfReport {
         markdown: md,
         json: js,
-        flags,
     })
 }
 
@@ -543,67 +374,121 @@ mod tests {
         d
     }
 
-    const SWEEP_A: &str = "{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"abc123\",\"label\":\"fig2_ljs\",\"jobs\":24,\"threads\":4,\"shards\":null,\"payload_mode\":\"tagged\",\"events\":1000000,\"failed\":0,\"wall_s\":0.5,\"events_per_sec\":2000000.0,\"unix_ts\":1,\"workers\":[{\"w\":0,\"j\":12,\"e\":600000,\"busy_s\":0.4},{\"w\":1,\"j\":12,\"e\":400000,\"busy_s\":0.3}]}";
-    const PROF_1: &str = "{\"kind\":\"profile\",\"schema\":3,\"git_rev\":\"abc123\",\"exhibit\":\"fig2_ljs\",\"sims\":24,\"events\":1000000,\"run_wall_ns\":100000000,\"attribution_pct\":98.50,\"poll_count\":800000,\"poll_wall_ns\":70000000,\"timer_count\":100000,\"timer_wall_ns\":10000000,\"call_count\":100000,\"call_wall_ns\":10000000,\"wake_count\":50000,\"wake_wall_ns\":8000000,\"barrier_rounds\":0,\"barrier_stall_ns\":0,\"wheel_cascades\":12,\"wheel_high_water\":900,\"unix_ts\":1}";
-    // Same exhibit, poll 10x slower per event.
-    const PROF_2: &str = "{\"kind\":\"profile\",\"schema\":3,\"git_rev\":\"def456\",\"exhibit\":\"fig2_ljs\",\"sims\":24,\"events\":1000000,\"run_wall_ns\":800000000,\"attribution_pct\":97.00,\"poll_count\":800000,\"poll_wall_ns\":700000000,\"timer_count\":100000,\"timer_wall_ns\":11000000,\"call_count\":100000,\"call_wall_ns\":11000000,\"wake_count\":50000,\"wake_wall_ns\":9000000,\"barrier_rounds\":0,\"barrier_stall_ns\":0,\"wheel_cascades\":12,\"wheel_high_water\":900,\"unix_ts\":2}";
+    /// One untraced run of `md` as the benchmark prints it: a progress
+    /// line, the run record, the result line.
+    const UNTRACED: &str = concat!(
+        "[benchmark md: 27 warm passes]\n",
+        "{\"workload\":\"md\",\"seed\":0,\"trace\":0,\"threads\":2,\"nproc\":2,\"warm_passes\":27,\"cold_starts\":7,\"correct\":true,\"attempted\":1519,\"failed\":0,\"metrics\":{\"wall_s\":{\"value\":0.514,\"unit\":\"s\",\"min\":0.49,\"max\":0.61,\"n\":27},\"cpu_s\":{\"value\":1.02,\"unit\":\"s\",\"min\":0.98,\"max\":1.2,\"n\":27},\"events_per_s\":{\"value\":8450000.5,\"unit\":\"1/s\",\"min\":7000000,\"max\":8800000,\"n\":27},\"peak_rss_mb\":{\"value\":12.1,\"unit\":\"MiB\",\"min\":12,\"max\":12.3,\"n\":7},\"setup_s\":{\"value\":0.559,\"unit\":\"s\",\"min\":0.5,\"max\":0.6,\"n\":7}}}\n",
+        "{\"correct\":true,\"attempted\":1519,\"failed\":0,\"metrics\":{}}\n",
+    );
+    /// One traced run of `md`, a few of its per-layer metrics.
+    const TRACED: &str = concat!(
+        "{\"workload\":\"md\",\"seed\":0,\"trace\":1,\"threads\":2,\"nproc\":2,\"warm_passes\":3,\"cold_starts\":3,\"correct\":true,\"attempted\":100,\"failed\":0,\"metrics\":{\"simcore.events\":{\"value\":4340631,\"unit\":\"count\"},\"simcore.ns_per_event\":{\"value\":279.25,\"unit\":\"ns\"},\"host.allocs_per_event\":{\"value\":0.096,\"unit\":\"1/event\"},\"fabric.wire_bytes\":{\"value\":123456789,\"unit\":\"B\"}}}\n",
+        "{\"correct\":true,\"attempted\":100,\"failed\":0,\"metrics\":{}}\n",
+    );
 
     #[test]
-    fn report_renders_all_sections_and_is_deterministic() {
-        let dir = tmpdir("full");
-        let bench = write(
-            &dir,
-            "bench.json",
-            &format!(
-                "{SWEEP_A}\n{{\"kind\":\"regen\",\"schema\":3,\"git_rev\":\"abc123\",\"exhibit\":\"fig2_ljs\",\"wall_s\":0.6,\"unix_ts\":1}}\n{PROF_1}\n"
-            ),
+    fn run_records_parse_in_catalogue_order() {
+        let line = UNTRACED.lines().nth(1).unwrap();
+        let r = parse_record(line).unwrap();
+        assert_eq!((r.workload.as_str(), r.seed, r.trace), ("md", 0, false));
+        let names: Vec<&str> = r.metrics.iter().map(|m| m.0.as_str()).collect();
+        assert_eq!(
+            names,
+            ["wall_s", "cpu_s", "events_per_s", "peak_rss_mb", "setup_s"]
         );
+        assert_eq!(
+            r.metrics[2],
+            ("events_per_s".into(), 8450000.5, "1/s".into())
+        );
+        let t = parse_record(TRACED.lines().next().unwrap()).unwrap();
+        assert!(t.trace);
+        assert_eq!(
+            t.metrics[0],
+            ("simcore.events".into(), 4340631.0, "count".into())
+        );
+    }
+
+    #[test]
+    fn report_renders_both_record_kinds_and_is_byte_identical_across_runs() {
+        let dir = tmpdir("full");
+        let bench = write(&dir, "runs.jsonl", &format!("{UNTRACED}{TRACED}"));
         let conf = write(
             &dir,
             "conformance.json",
-            "{\n  \"ok\": true,\n  \"bench_flags\": []\n}\n",
+            "{\n  \"pass\": true,\n  \"files\": 14,\n  \"terms\": 102,\n  \"failed_terms\": 0,\n  \"exhibits\": [],\n  \"ok\": true\n}\n",
         );
-        let r1 = generate(std::slice::from_ref(&bench), Some(&conf), 8.0).unwrap();
-        let r2 = generate(std::slice::from_ref(&bench), Some(&conf), 8.0).unwrap();
+        let r1 = generate(std::slice::from_ref(&bench), Some(&conf)).unwrap();
+        let r2 = generate(std::slice::from_ref(&bench), Some(&conf)).unwrap();
         assert_eq!(r1.markdown, r2.markdown, "markdown must be deterministic");
-        assert_eq!(r1.json, r2.json);
-        assert!(r1.flags.is_empty(), "{:?}", r1.flags);
-        assert!(r1.markdown.contains("| fig2_ljs | 1 | 2.00M | 2.00M |"));
-        assert!(r1.markdown.contains("| poll | 800000 |"), "{}", r1.markdown);
-        assert!(r1.markdown.contains("1.20 max/mean"), "{}", r1.markdown);
-        assert!(r1.markdown.contains("**ok**"), "{}", r1.markdown);
+        assert_eq!(r1.json, r2.json, "json must be deterministic");
+        let md = &r1.markdown;
         assert!(
-            r1.markdown.contains("Attribution: **98.0%"),
-            "{}",
-            r1.markdown
+            md.contains("| workload | seed | runs | wall_s (s) |"),
+            "{md}"
         );
-        assert!(r1.json.contains("\"attribution_pct\": 98.50"));
-        // The fixtures' `shards` and `barrier_*` keys are history only.
-        assert!(!r1.markdown.contains("barrier") && !r1.markdown.contains("shards"));
+        assert!(
+            md.contains("| md | 0 | 1 | 0.5140 | 1.0200 | 8450000 |"),
+            "{md}"
+        );
+        assert!(md.contains("| metric | unit | md seed 0 |"), "{md}");
+        assert!(md.contains("| simcore.events | count | 4340631 |"), "{md}");
+        assert!(
+            md.contains("| host.allocs_per_event | 1/event | 0.0960 |"),
+            "{md}"
+        );
+        assert!(md.contains("| fabric.wire_bytes | B | 123456789 |"), "{md}");
+        assert!(md.contains("**ok**, 0 of 102 term(s) violated"), "{md}");
+        assert!(
+            r1.json.contains("\"simcore.events\": 4340631"),
+            "{}",
+            r1.json
+        );
+        assert!(r1.json.contains("\"wall_s\": 0.514"), "{}", r1.json);
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn cost_gate_flags_per_bucket_regressions() {
-        let dir = tmpdir("gate");
-        let bench = write(&dir, "bench.json", &format!("{PROF_1}\n{PROF_2}\n"));
-        let r = generate(std::slice::from_ref(&bench), None, 8.0).unwrap();
-        assert_eq!(r.flags.len(), 1, "{:?}", r.flags);
-        assert!(r.flags[0].starts_with("fig2_ljs/poll:"), "{}", r.flags[0]);
-        assert!(r.markdown.contains("WARN fig2_ljs/poll"), "{}", r.markdown);
-        // A single record has no history: nothing to flag.
-        let solo = write(&dir, "solo.json", &format!("{PROF_2}\n"));
-        let r = generate(std::slice::from_ref(&solo), None, 8.0).unwrap();
-        assert!(r.flags.is_empty());
+    fn untraced_runs_report_their_median() {
+        let dir = tmpdir("median");
+        let slower = UNTRACED.replace("\"value\":0.514", "\"value\":0.714");
+        let slowest = UNTRACED.replace("\"value\":0.514", "\"value\":0.914");
+        let bench = write(&dir, "runs.jsonl", &format!("{slowest}{UNTRACED}{slower}"));
+        let r = generate(&[bench], None).unwrap();
+        assert!(
+            r.markdown.contains("| md | 0 | 3 | 0.7140 |"),
+            "{}",
+            r.markdown
+        );
+        assert!(
+            r.markdown.contains("No traced run records."),
+            "{}",
+            r.markdown
+        );
+        assert!(r.markdown.contains("No conformance.json supplied."));
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn worker_array_parsing_is_robust() {
-        let objs = json_obj_array(SWEEP_A, "workers");
-        assert_eq!(objs.len(), 2);
-        assert_eq!(json_num_field(&objs[0], "e"), Some(600000.0));
-        assert_eq!(json_num_field(&objs[1], "busy_s"), Some(0.3));
-        assert!(json_obj_array(SWEEP_A, "absent").is_empty());
+    fn unusable_inputs_are_errors_naming_the_file() {
+        let dir = tmpdir("bad");
+        let missing = dir.join("absent.jsonl");
+        let e = generate(std::slice::from_ref(&missing), None).unwrap_err();
+        assert!(e.contains("absent.jsonl"), "{e}");
+        let empty = write(&dir, "empty.jsonl", "[benchmark md]\nnot a record\n");
+        let e = generate(&[empty], None).unwrap_err();
+        assert!(
+            e.contains("empty.jsonl") && e.contains("no benchmark run records"),
+            "{e}"
+        );
+        let cut = write(
+            &dir,
+            "cut.jsonl",
+            "{\"workload\":\"md\",\"seed\":0,\"trace\":1,\"metrics\":{\"simcore.events\":{\"val",
+        );
+        let e = generate(&[cut], None).unwrap_err();
+        assert!(e.contains("cut.jsonl:1: malformed run record"), "{e}");
+        assert!(!e.contains('\n'), "one line: {e}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

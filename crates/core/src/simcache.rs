@@ -50,9 +50,9 @@
 //!
 //! Hit/miss/store counts accumulate in process-global counters
 //! ([`stats`]); `elanib-bench` samples them around each exhibit and
-//! reports the deltas through the trace/metrics registry
-//! (`cache.hits` / `cache.misses` / `cache.stores`) and the
-//! `BENCH_regen.json` records.
+//! reports the deltas on its `[regen …]` stderr line and through the
+//! trace/metrics registry (`cache.hits` / `cache.misses` /
+//! `cache.stores`).
 
 use std::collections::HashMap;
 use std::fmt::Debug;

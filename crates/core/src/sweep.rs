@@ -43,10 +43,9 @@
 //! [`sweep_with_stats`] also returns a [`SweepStats`]: jobs run, pool
 //! width, kernel events dispatched (sampled from
 //! [`elanib_simcore::thread_events`] around each job, so only
-//! simulation work is counted) and wall time.
-//! [`SweepStats::record`] appends a JSON-lines perf record to the file
-//! named by `ELANIB_BENCH_JSON`, which is how `BENCH_sweep.json`
-//! speedup evidence is captured.
+//! simulation work is counted), wall time and a per-worker breakdown.
+//! The exhibit binaries print it as one stderr line; the repository
+//! benchmark (`benchmark/`) reads it for its sweep balance metrics.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -63,9 +62,9 @@ pub struct WorkerStat {
     pub busy: Duration,
 }
 
-/// Upper bound on panic messages retained in [`SweepStats::failures`]
-/// (and serialized into the JSONL record). Keeps a pathological batch
-/// — every point dead — from ballooning the perf log.
+/// Upper bound on panic messages retained in [`SweepStats::failures`].
+/// Keeps a pathological batch — every point dead — from ballooning
+/// the stats.
 pub const MAX_RETAINED_FAILURES: usize = 5;
 
 /// Throughput report for one [`sweep_with_stats`] call.
@@ -85,7 +84,7 @@ pub struct SweepStats {
     pub failed: usize,
     /// The first [`MAX_RETAINED_FAILURES`] isolated panic messages, in
     /// completion order — so a fuzz batch's failures are attributable
-    /// from the JSONL record alone, without re-running the sweep.
+    /// from the stats alone, without re-running the sweep.
     /// `failed` still counts *every* failure; this is a bounded sample.
     pub failures: Vec<String>,
     /// Per-worker breakdown, indexed by worker (one entry, worker 0,
@@ -93,8 +92,7 @@ pub struct SweepStats {
     pub per_worker: Vec<WorkerStat>,
     /// Kernel events dispatched by each item's own simulation, in item
     /// order — the per-point cost feedback [`sweep_guided_with_stats`]
-    /// hints are calibrated from. Not serialized into the JSONL record
-    /// (per-worker rollups cover the balance evidence).
+    /// hints are calibrated from.
     pub per_item_events: Vec<u64>,
 }
 
@@ -142,93 +140,37 @@ impl SweepStats {
             s.busy += w.busy;
         }
     }
-
-    /// Append a `{"kind":"sweep",...}` JSON record for this sweep to
-    /// the JSON-lines file named by `ELANIB_BENCH_JSON`. No-op when the
-    /// variable is unset or empty.
-    ///
-    /// Several exhibit binaries can append to the same file from a
-    /// driver script, so the line goes through
-    /// [`elanib_simcore::trace::jsonl::append_line`], which issues the
-    /// whole record as one `O_APPEND` write — concurrent appenders can
-    /// interleave lines but never split one.
-    pub fn record(&self, label: &str) {
-        let Ok(path) = std::env::var("ELANIB_BENCH_JSON") else {
-            return;
-        };
-        if path.is_empty() {
-            return;
-        }
-        let ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let mut line = format!(
-            "{{\"kind\":\"sweep\",\"schema\":3,\"git_rev\":\"{}\",\"label\":\"{}\",\"jobs\":{},\"threads\":{},\"events\":{},\"failed\":{},\"wall_s\":{:.6},\"events_per_sec\":{:.1},\"unix_ts\":{}",
-            elanib_simcore::trace::git_rev(),
-            label.replace('\\', "\\\\").replace('"', "\\\""),
-            self.jobs,
-            self.threads,
-            self.events,
-            self.failed,
-            self.wall.as_secs_f64(),
-            self.events_per_sec(),
-            ts
-        );
-        if !self.failures.is_empty() {
-            line.push_str(",\"failures\":[");
-            for (i, m) in self.failures.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                // Panic messages can span lines (deadlock reports do);
-                // JSON strings cannot.
-                let esc = m
-                    .replace('\\', "\\\\")
-                    .replace('"', "\\\"")
-                    .replace('\n', "\\n")
-                    .replace('\t', "\\t");
-                line.push('"');
-                line.push_str(&esc);
-                line.push('"');
-            }
-            line.push(']');
-        }
-        // Worker breakdown last, with short non-colliding keys, so the
-        // first-occurrence field scans the gate/report use still hit
-        // the top-level fields above.
-        line.push_str(",\"workers\":[");
-        for (i, w) in self.per_worker.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!(
-                "{{\"w\":{},\"j\":{},\"e\":{},\"busy_s\":{:.6}}}",
-                w.worker,
-                w.jobs,
-                w.events,
-                w.busy.as_secs_f64()
-            ));
-        }
-        line.push_str("]}");
-        let _ = elanib_simcore::trace::jsonl::append_line(std::path::Path::new(&path), &line);
-    }
 }
 
 /// Pool width a sweep will use for `n_items` work items:
-/// `ELANIB_SWEEP_THREADS` if set (clamped to ≥ 1), otherwise the
-/// machine's available parallelism — never more threads than items.
+/// `ELANIB_SWEEP_THREADS` if set, otherwise the machine's available
+/// parallelism — never more threads than items. A malformed value
+/// panics, naming the variable, rather than silently running on every
+/// core.
 pub fn sweep_threads(n_items: usize) -> usize {
-    let configured = std::env::var("ELANIB_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
+    let v = std::env::var("ELANIB_SWEEP_THREADS").ok();
+    let configured = parse_sweep_threads(v.as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-    configured.max(1).min(n_items.max(1))
+    configured.min(n_items.max(1))
+}
+
+/// Parse an `ELANIB_SWEEP_THREADS` value: unset is `None` (use every
+/// core), a whole number of threads ≥ 1 otherwise.
+fn parse_sweep_threads(v: Option<&str>) -> Result<Option<usize>, String> {
+    match v {
+        None => Ok(None),
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(Some(n)),
+            _ => Err(format!(
+                "ELANIB_SWEEP_THREADS={v:?} is not a whole number of threads >= 1"
+            )),
+        },
+    }
 }
 
 /// Item indices in longest-processing-time order: descending cost
@@ -426,8 +368,8 @@ where
 pub struct SweepOpts {
     /// Catch a panicking point instead of propagating it: the point
     /// becomes [`PointResult::Failed`], every other point still runs,
-    /// and the failure count lands in [`SweepStats::failed`] (and the
-    /// JSONL perf record). Off by default — a panic in a *trusted*
+    /// and the failure count lands in [`SweepStats::failed`]. Off by
+    /// default — a panic in a *trusted*
     /// exhibit grid is a bug and should abort loudly.
     pub isolate_panics: bool,
 }
@@ -562,6 +504,20 @@ mod tests {
         // Event accounting must equal the sum over jobs.
         let total: u64 = serial.iter().map(|&(_, e)| e).sum();
         assert_eq!(stats.events, total);
+    }
+
+    #[test]
+    fn sweep_threads_values_parse_or_name_the_variable() {
+        assert_eq!(parse_sweep_threads(None), Ok(None));
+        assert_eq!(parse_sweep_threads(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_sweep_threads(Some("2")), Ok(Some(2)));
+        for bad in ["0", "four", "-1", "", " 2"] {
+            let e = parse_sweep_threads(Some(bad)).unwrap_err();
+            assert!(
+                e.starts_with("ELANIB_SWEEP_THREADS=") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

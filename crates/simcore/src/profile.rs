@@ -1,8 +1,8 @@
 //! Deterministic kernel profiler: per-event-type cost attribution.
 //!
-//! `BENCH_regen.json` records end-to-end wall times, which say nothing
-//! about *where* events/sec goes — payload dispatch? wheel cascades?
-//! wake drains? This module answers that with the same
+//! End-to-end wall time says nothing about *where* events/sec goes —
+//! payload dispatch? wheel cascades? wake drains? This module answers
+//! that with the same
 //! zero-cost-when-off discipline as the tracer (`elanib-trace`): the
 //! kernel carries an `Option<Rc<KernelProfiler>>` that is `None`
 //! unless `ELANIB_PROFILE` is set, so the hot path pays one null check
@@ -43,11 +43,11 @@
 //! ## Collection
 //!
 //! On drop, a profiler that saw any event submits its totals to a
-//! process-global accumulator; [`flush`] (called from the bench
+//! process-global accumulator. [`flush`] (called from the bench
 //! harness's `emit`, right next to the tracer flush) takes the merged
-//! totals, writes `<label>.profile.json` and appends a flat
-//! `{"kind":"profile",...}` record to `ELANIB_BENCH_JSON` for
-//! `elanib-report`'s hot-event table and per-event-type cost gate.
+//! totals and writes `<label>.profile.json`; the repository benchmark
+//! (`benchmark/`) instead drains them with [`take`] after its traced
+//! pass and reports them as its `simcore.*` per-layer metrics.
 
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -396,40 +396,10 @@ fn profile_json(label: &str, t: &ProfTotals) -> String {
     s
 }
 
-/// Flat JSONL record for `ELANIB_BENCH_JSON` — one line per flush,
-/// parseable by the same minimal field extraction the bench gate uses.
-fn profile_record(label: &str, t: &ProfTotals) -> String {
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut s = format!(
-        "{{\"kind\":\"profile\",\"schema\":3,\"git_rev\":\"{}\",\"exhibit\":\"{}\",\"sims\":{},\"events\":{},\"run_wall_ns\":{},\"attribution_pct\":{:.2}",
-        json_escape(elanib_trace::git_rev()),
-        json_escape(label),
-        t.sims,
-        t.events(),
-        t.run_wall_ns,
-        t.attribution_pct(),
-    );
-    for (tag, name) in TAG_NAMES.iter().enumerate() {
-        s.push_str(&format!(
-            ",\"{name}_count\":{},\"{name}_wall_ns\":{}",
-            t.det.count[tag], t.wall_ns[tag]
-        ));
-    }
-    s.push_str(&format!(
-        ",\"wheel_cascades\":{},\"wheel_high_water\":{},\"unix_ts\":{ts}}}",
-        t.det.cascades, t.det.high_water
-    ));
-    s
-}
-
-/// Drain the accumulator and write the profile sinks for run `label`:
-/// `<label>.profile.json` in the trace output directory, plus a
-/// `{"kind":"profile",...}` line appended to `ELANIB_BENCH_JSON` when
-/// set. Returns `None` when nothing was collected — the every-day case
-/// of profiling disabled, so drivers call this unconditionally.
+/// Drain the accumulator and write `<label>.profile.json` for run
+/// `label` in the trace output directory. Returns `None` when nothing
+/// was collected — the every-day case of profiling disabled, so
+/// exhibit binaries call this unconditionally.
 pub fn flush(label: &str) -> Option<FlushedProfile> {
     let t = take();
     if t.sims == 0 {
@@ -443,14 +413,6 @@ pub fn flush(label: &str) -> Option<FlushedProfile> {
     let p = dir.join(format!("{label}.profile.json"));
     if std::fs::write(&p, profile_json(label, &t)).is_ok() {
         out.profile_json = Some(p);
-    }
-    if let Ok(path) = std::env::var("ELANIB_BENCH_JSON") {
-        if !path.is_empty() {
-            let _ = elanib_trace::jsonl::append_line(
-                std::path::Path::new(&path),
-                &profile_record(label, &t),
-            );
-        }
     }
     Some(out)
 }
@@ -508,17 +470,5 @@ mod tests {
         // Sparse: only the touched buckets appear.
         assert!(s1.contains(&format!("\"{}\":1", log2_bucket(4096))), "{s1}");
         assert!(!s1.contains("\"0\":0"), "{s1}");
-    }
-
-    #[test]
-    fn profile_record_is_flat_jsonl() {
-        let p = KernelProfiler::forced();
-        p.event(0, 7, 1, Duration::from_nanos(40));
-        let rec = profile_record("fig2_test", &p.snapshot());
-        assert!(rec.starts_with("{\"kind\":\"profile\""), "{rec}");
-        assert!(rec.contains("\"schema\":3"), "{rec}");
-        assert!(rec.contains("\"exhibit\":\"fig2_test\""), "{rec}");
-        assert!(rec.contains("\"poll_count\":1"), "{rec}");
-        assert!(!rec.contains('\n'));
     }
 }

@@ -1,9 +1,8 @@
 //! Atomic JSON-lines appends.
 //!
-//! Several writers in the workspace append one JSON record per run to
-//! a shared file (`ELANIB_BENCH_JSON`, metrics logs) while sweep
-//! workers in *other processes* may be doing the same. POSIX
-//! guarantees that a `write(2)` on an `O_APPEND` descriptor performs
+//! The progress heartbeat (`ELANIB_PROGRESS`) appends one JSON record
+//! per beat to a shared file while exhibit binaries in *other
+//! processes* may be doing the same. POSIX guarantees that a `write(2)` on an `O_APPEND` descriptor performs
 //! the seek-to-end and the write atomically with respect to other
 //! appenders, so as long as every record is submitted as **one**
 //! `write_all` of a complete `line + '\n'`, records never interleave.

@@ -10,8 +10,7 @@
 #    5. manifest     results/MANIFEST.sha256 must match the committed
 #                    CSVs exactly (stale or hand-edited exhibits fail
 #                    fast, before any simulation runs)
-#    6. regen        exhibit-determinism smoke (regen_all.sh --smoke),
-#                    with BENCH records captured for stage 9's gate
+#    6. regen        exhibit-determinism smoke (regen_all.sh --smoke)
 #    7. cache        point-cache consistency smoke (cold vs warm fig2)
 #    8. backend-matrix
 #                    one-network-per-run gate: the fig2 smoke exhibit
@@ -24,29 +23,25 @@
 #                    RoCE modes must complete cleanly. Per-backend wall
 #                    times land in ci_summary.json
 #    9. conformance  paper-shape validation: expectations/*.toml vs the
-#                    committed results/, exhibit coverage, and the
-#                    BENCH wall-time + events/s regression gates
-#                    (warn-only; run the binary with --strict to make
-#                    them fail)
-#   10. report       perf dashboard: elanib-report merges the committed
-#                    BENCH history, this run's records (including the
-#                    kernel-profiler output stage 6 collects under
-#                    ELANIB_PROFILE=1) and the conformance verdict into
-#                    perf_report.md / perf_report.json; the
-#                    per-event-type cost gate is warn-only, like the
-#                    bench gate
-#   11. perf-gate    FAILING allocation + events/s gates: the quick
-#                    kernel micro-bench (kernelbench) fails the stage if
-#                    its calls/pingpong/model scenarios allocate more
-#                    per event than their deterministic budgets (the
-#                    dispatch fast paths' hard gate), and records its
-#                    scenarios; then conformance --eps-gate 2 fails the
-#                    run if any sweep record above the 50k-event noise
-#                    floor is more than 2x below the best on record
-#   12. faults       fault-matrix smoke (loss + outage plans terminate)
-#   13. zero-fault   a rate-zero fault plan regenerates every CSV
+#                    committed results/ and exhibit coverage
+#   10. bench-counts deterministic per-layer count gate: one traced run
+#                    of the repository benchmark (BENCHMARK.json's
+#                    command) per workload at seed 0, compared by the
+#                    benchmark's own --compare with the committed
+#                    scripts/benchmark_counts.jsonl; any differing
+#                    event, wake, task, MPI, NIC or fabric count fails
+#   11. report       perf dashboard: elanib-report renders stage 10's
+#                    benchmark records and the conformance verdict into
+#                    perf_report.md / perf_report.json (renders only)
+#   12. perf-gate    kernelbench alone: it fails the stage when its
+#                    calls/pingpong/model scenarios allocate more per
+#                    event than their deterministic budgets, or when any
+#                    scenario runs more than 2x below its best events/s
+#                    on record
+#   13. faults       fault-matrix smoke (loss + outage plans terminate)
+#   14. zero-fault   a rate-zero fault plan regenerates every CSV
 #                    byte-identically (full regen_all.sh)
-#   14. fuzz         time-boxed property fuzz: seeded random scenarios
+#   15. fuzz         time-boxed property fuzz: seeded random scenarios
 #                    through both stacks with every cross-cutting
 #                    invariant checked (elanib-fuzz); a violation
 #                    fails the stage and prints the shrunk repro path
@@ -66,7 +61,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="build test fmt clippy manifest regen cache backend-matrix conformance report perf-gate faults zero-fault fuzz"
+STAGES="build test fmt clippy manifest regen cache backend-matrix conformance bench-counts report perf-gate faults zero-fault fuzz"
 QUICK_STAGES="build test clippy"
 
 MODE="full"
@@ -100,13 +95,11 @@ case "${1:-}" in
 esac
 
 wd="${ELANIB_REGEN_TIMEOUT:-300}"
-# Stamp schema-3 BENCH/profile records with the revision they were
-# measured at ("" when git is unavailable). Exported so the rebuilds
-# inside regen_all.sh inherit it too instead of silently un-stamping.
-export ELANIB_GIT_REV="${ELANIB_GIT_REV:-$(git rev-parse --short HEAD 2>/dev/null || true)}"
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
-BENCH_CURRENT="$scratch/bench_current.json"
+# The bench-counts stage's fresh traced benchmark records, which the
+# report stage renders.
+BENCH_COUNTS="$scratch/benchmark_counts.jsonl"
 
 # ---------------------------------------------------------------- stages
 
@@ -153,12 +146,7 @@ stage_manifest() {
 }
 
 stage_regen() {
-    # Capture per-exhibit BENCH records for the conformance stage's
-    # wall-time regression gate. ELANIB_PROFILE=1 additionally collects
-    # kernel-profiler records for the report stage — profiling is
-    # distortion-free, so the byte-identity checks still hold (the
-    # profile_determinism test is the proof).
-    ELANIB_BENCH_JSON="$BENCH_CURRENT" ELANIB_PROFILE=1 scripts/regen_all.sh --smoke
+    scripts/regen_all.sh --smoke
 }
 
 stage_cache() {
@@ -227,53 +215,62 @@ stage_backend-matrix() {
 }
 
 stage_conformance() {
-    # Paper-shape validation. The BENCH gate is warn-only here (add
-    # --strict to promote regressions to failures); it only engages
-    # when the regen stage ran in this invocation and left records.
-    local bench_args=()
-    if [ -s "$BENCH_CURRENT" ]; then
-        bench_args=(--bench-current "$BENCH_CURRENT")
-    fi
-    timeout "$wd" ./target/release/conformance --json ci_conformance.json "${bench_args[@]}"
+    timeout "$wd" ./target/release/conformance --json ci_conformance.json
+}
+
+stage_bench-counts() {
+    # Deterministic per-layer counts (kernel events, timers, wakes,
+    # spawned tasks, wheel cascades, MPI/NIC/fabric counters and wire
+    # bytes) of one traced benchmark run per workload at seed 0 must
+    # equal the committed scripts/benchmark_counts.jsonl. The
+    # benchmark's own --compare exits 1 when any count differs and 2
+    # when the record sets cannot be compared (a threads/nproc other
+    # than the 2-CPU host the baseline was recorded on); both fail the
+    # stage. The benchmark refuses to run with any ELANIB_* variable
+    # set, so it runs with them cleared; --seconds 1 keeps each run at
+    # its minimum, which leaves the counts unchanged.
+    local clean=() v w
+    for v in $(compgen -e); do
+        case "$v" in ELANIB_*) clean+=(-u "$v") ;; esac
+    done
+    local cargo_bench=(env "${clean[@]}" cargo run --quiet --offline --release
+        --manifest-path benchmark/Cargo.toml --)
+    # Build outside the watchdog: a cold build of the benchmark package
+    # takes minutes.
+    env "${clean[@]}" cargo build --quiet --offline --release \
+        --manifest-path benchmark/Cargo.toml \
+        || { echo "FAIL: benchmark build" >&2; return 1; }
+    : > "$BENCH_COUNTS"
+    for w in cg md p2p fuzz; do
+        timeout "$wd" "${cargo_bench[@]}" --workload "$w" --seed 0 --trace 1 --seconds 1 \
+            --out "$scratch/$w.spans.jsonl" >> "$BENCH_COUNTS" \
+            || { echo "FAIL: traced benchmark run of $w exited $?" >&2; return 1; }
+    done
+    "${cargo_bench[@]}" --compare scripts/benchmark_counts.jsonl "$BENCH_COUNTS" \
+        || { echo "FAIL: benchmark --compare exited $? against scripts/benchmark_counts.jsonl" >&2; return 1; }
 }
 
 stage_report() {
-    # Perf dashboard. Committed history first, this run's records last
-    # — elanib-report treats the last record per label as "latest", so
-    # the trend tables compare today against the best on record. The
-    # per-event-type cost gate warns (never fails) here; run the binary
-    # with --strict to promote regressions.
-    local bench_args=()
-    local f
-    for f in BENCH_regen.json BENCH_sweep.json; do
-        [ -s "$f" ] && bench_args+=(--bench "$f")
-    done
-    [ -s "$BENCH_CURRENT" ] && bench_args+=(--bench "$BENCH_CURRENT")
-    timeout "$wd" ./target/release/elanib-report "${bench_args[@]}" \
+    # Perf dashboard from the bench-counts stage's fresh records (the
+    # committed baseline when that stage did not run in this
+    # invocation) and the conformance verdict. It renders only: the
+    # gates are bench-counts, perf-gate and conformance.
+    local bench=scripts/benchmark_counts.jsonl
+    [ -s "$BENCH_COUNTS" ] && bench="$BENCH_COUNTS"
+    timeout "$wd" ./target/release/elanib-report --bench "$bench" \
         --conformance ci_conformance.json \
         --out-md perf_report.md --out-json perf_report.json
 }
 
 stage_perf-gate() {
-    # FAILING allocation and events/s regression gates (the wall-time +
-    # cost gates stay warn-only). The quick kernel micro-bench runs
-    # first: it exits non-zero when a scenario's allocations per event
-    # exceed its budget (counts are deterministic, so this gate is
-    # exact), and records kernel_{timers,calls,pingpong,model} sweep
-    # records next to the regen stage's exhibit records; then
-    # conformance judges every
-    # sweep record in this run's file against the best on record in the
-    # committed BENCH history at a generous 2x, over a 50k-event noise
-    # floor. A dispatch-path regression that halves kernel throughput
-    # fails CI here even if every CSV is still byte-identical.
-    ELANIB_BENCH_JSON="$BENCH_CURRENT" timeout "$wd" ./target/release/kernelbench \
+    # FAILING allocation and events/s gates, both inside kernelbench:
+    # allocations per event are deterministic, so their budgets are
+    # exact; each scenario's events/s must stay within 2x of its best
+    # on record. A dispatch-path regression that halves kernel
+    # throughput fails CI here even if every CSV is still
+    # byte-identical.
+    timeout "$wd" ./target/release/kernelbench \
         || { echo "FAIL: kernelbench exited non-zero ($?)" >&2; return 1; }
-    if [ ! -s "$BENCH_CURRENT" ]; then
-        echo "FAIL: no bench records collected (did the regen stage run?)" >&2
-        return 1
-    fi
-    timeout "$wd" ./target/release/conformance --quiet --json ci_perf_gate.json \
-        --bench-current "$BENCH_CURRENT" --eps-gate 2
 }
 
 stage_faults() {

@@ -12,8 +12,6 @@
 # Environment:
 #   ELANIB_SWEEP_THREADS  sweep-engine pool width (default: all cores;
 #                         results are identical at any setting)
-#   ELANIB_BENCH_JSON     optional JSON-lines file for sweep + regen
-#                         perf records (see EXPERIMENTS.md)
 #   ELANIB_CACHE_DIR      persistent point-cache directory: a warm rerun
 #                         skips already-simulated sweep points entirely;
 #                         the CSV diff must still pass warm or cold
@@ -94,16 +92,6 @@ if [ "$status" -eq 0 ]; then
         # hand-edited CSVs fail fast without rerunning any simulation.
         (cd results && LC_ALL=C sha256sum -- *.csv > MANIFEST.sha256)
         echo "results/MANIFEST.sha256 refreshed ($(wc -l < results/MANIFEST.sha256) CSVs)"
-        # Bound the append-only BENCH history: keep the last N records
-        # per (kind,label) key plus every best-on-record entry the
-        # regression gates compare against (see elanib-report --rotate).
-        rotate_args=()
-        for f in BENCH_regen.json BENCH_sweep.json; do
-            [ -s "$f" ] && rotate_args+=(--bench "$f")
-        done
-        if [ "${#rotate_args[@]}" -gt 0 ] && [ -x target/release/elanib-report ]; then
-            ./target/release/elanib-report --rotate "${ELANIB_BENCH_KEEP:-8}" "${rotate_args[@]}"
-        fi
     fi
 else
     echo "FAIL: exhibit CSVs drifted (see above)" >&2
