@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
 use elanib_mpi::{
-    bytes_of_f64, irecv, isend, waitall, Communicator, JobSpec, NetConfig, Network, RankProgram,
+    irecv, isend, waitall, Communicator, JobSpec, NetConfig, Network, Payload, RankProgram,
 };
 use elanib_simcore::Dur;
 
@@ -155,7 +155,7 @@ impl RankProgram for MdProxy {
             let dims = decompose3(n);
             let neighbors = face_neighbors(me, dims);
             let compute_total = Dur::from_ps(p.time_per_atom_step.as_ps() * p.atoms_per_rank);
-            let ghost = bytes_of_f64(&vec![me as f64; 32]);
+            let ghost = Payload::from([me as f64; 32]);
 
             // Deterministic per-(rank, step) load imbalance in
             // [1-jitter, 1+jitter].
@@ -169,7 +169,7 @@ impl RankProgram for MdProxy {
                 1.0 + p.jitter * ((h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0)
             };
 
-            let step_fn = |c: C, ghost: elanib_mpi::Bytes, neighbors: Vec<usize>, step_no: u64| async move {
+            let step_fn = |c: C, ghost: Payload, neighbors: Vec<usize>, step_no: u64| async move {
                 let total = compute_total.scale(imbalance(step_no));
                 let t_overlap = total.scale(p.overlap_fraction);
                 let t_rest = total - t_overlap;

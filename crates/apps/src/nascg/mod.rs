@@ -22,9 +22,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
-use elanib_mpi::{
-    bytes_of_f64, f64s_of_bytes, recv, send, Communicator, JobSpec, Network, RankProgram,
-};
+use elanib_mpi::{recv, send, Communicator, JobSpec, Network, RankProgram};
 use elanib_simcore::Dur;
 
 use crate::ScalingPoint;
@@ -264,7 +262,7 @@ async fn allgather_segments<C: Communicator>(
         // blocks in recursive doubling).
         let send_lo = base * seg_len;
         let send_hi = (base + have) * seg_len;
-        let payload = bytes_of_f64(&x[send_lo..send_hi]);
+        let payload = Rc::from(&x[send_lo..send_hi]);
         let bytes = model_seg_bytes * have as u64;
         let tag = 50 + dist as i64;
         let m = if me < partner {
@@ -275,14 +273,10 @@ async fn allgather_segments<C: Communicator>(
             send(c, partner, tag, payload, bytes).await;
             m
         };
-        let their_len = m.data.len() / 8;
+        // The partner holds as many segments as I do.
+        assert_eq!(m.data.len(), have * seg_len, "CG allgather block length");
         let their_lo = (base ^ dist) * seg_len;
-        for (dst, v) in x[their_lo..their_lo + their_len]
-            .iter_mut()
-            .zip(f64s_of_bytes(&m.data))
-        {
-            *dst = v;
-        }
+        x[their_lo..their_lo + m.data.len()].copy_from_slice(&m.data);
         base = base.min(base ^ dist);
         have *= 2;
         dist *= 2;

@@ -19,9 +19,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
-use elanib_mpi::{
-    bytes_of_f64, f64_of_bytes, f64s_of_bytes, recv, send, Communicator, RankProgram,
-};
+use elanib_mpi::{recv, send, Communicator, RankProgram};
 use elanib_simcore::Dur;
 
 use super::{CgProblem, SparseSpd};
@@ -240,7 +238,7 @@ async fn transpose_exchange<C: Communicator>(
     if partner == me {
         return strip.to_vec();
     }
-    let payload = bytes_of_f64(strip);
+    let payload = Rc::from(strip);
     // Symmetric exchange; break the tie by rank to avoid both sides
     // blocking in a rendezvous send.
     let m = if me < partner {
@@ -251,7 +249,7 @@ async fn transpose_exchange<C: Communicator>(
         send(c, partner, tag, payload, nc_bytes).await;
         m
     };
-    f64_of_bytes(&m.data)
+    m.data.to_vec()
 }
 
 /// Recursive-doubling allreduce(sum) across this rank's row group
@@ -269,7 +267,7 @@ async fn row_group_allreduce<C: Communicator>(
     while dist < npcols {
         let pc = col ^ dist;
         let partner = row * npcols + pc;
-        let payload = bytes_of_f64(&v);
+        let payload = Rc::from(v.as_slice());
         let m = if col < pc {
             send(c, partner, tag + dist as i64, payload, nr_bytes).await;
             recv(c, Some(partner), Some(tag + dist as i64)).await
@@ -278,7 +276,7 @@ async fn row_group_allreduce<C: Communicator>(
             send(c, partner, tag + dist as i64, payload, nr_bytes).await;
             m
         };
-        for (a, b) in v.iter_mut().zip(f64s_of_bytes(&m.data)) {
+        for (a, b) in v.iter_mut().zip(m.data.iter()) {
             *a += b;
         }
         dist *= 2;

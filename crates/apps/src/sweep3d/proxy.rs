@@ -10,7 +10,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
-use elanib_mpi::{bytes_of_f64, recv, send, Communicator, JobSpec, Network, RankProgram};
+use elanib_mpi::{recv, send, Communicator, JobSpec, Network, Payload, RankProgram};
 use elanib_nodesim::cache_speed_factor;
 use elanib_simcore::Dur;
 
@@ -116,7 +116,7 @@ impl RankProgram for SweepProxy {
             // faces, 8 bytes per cell-angle.
             let bytes_i = (jt * p.mk * p.mmi * 8) as u64;
             let bytes_j = (it * p.mk * p.mmi * 8) as u64;
-            let payload = bytes_of_f64(&[me as f64; 4]);
+            let payload = Payload::from([me as f64; 4]);
 
             barrier(&c).await;
             let t0 = sim.now();
@@ -150,11 +150,11 @@ impl RankProgram for SweepProxy {
                     for _stage in 0..k_blocks * a_blocks {
                         if let Some(src) = up_i {
                             let m = recv(&c, Some(src), Some(tag)).await;
-                            flux_acc += elanib_mpi::f64_of_bytes(&m.data)[0];
+                            flux_acc += m.data[0];
                         }
                         if let Some(src) = up_j {
                             let m = recv(&c, Some(src), Some(tag)).await;
-                            flux_acc += elanib_mpi::f64_of_bytes(&m.data)[0];
+                            flux_acc += m.data[0];
                         }
                         c.compute(block_compute, p.mem_intensity).await;
                         if let Some(dst) = down_i {

@@ -13,9 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use elanib_apps::md::LjSystem;
-use elanib_mpi::{
-    bytes_of_f64, f64_of_bytes, recv, send, Communicator, JobSpec, Network, RankProgram,
-};
+use elanib_mpi::{recv, send, Communicator, JobSpec, Network, Payload, RankProgram};
 
 const N_SIDE: usize = 6; // 216 atoms
 const DENSITY: f64 = 0.3; // box edge ~8.96 => 3 slabs still exceed the 2.5 cutoff
@@ -117,7 +115,7 @@ impl RankProgram for DistributedMd {
                             &c,
                             left,
                             tagl,
-                            bytes_of_f64(&to_left),
+                            Payload::from(&to_left[..]),
                             (to_left.len() * 8) as u64,
                         )
                         .await;
@@ -128,7 +126,7 @@ impl RankProgram for DistributedMd {
                             &c,
                             left,
                             tagl,
-                            bytes_of_f64(&to_left),
+                            Payload::from(&to_left[..]),
                             (to_left.len() * 8) as u64,
                         )
                         .await;
@@ -139,7 +137,7 @@ impl RankProgram for DistributedMd {
                             &c,
                             right,
                             tagr,
-                            bytes_of_f64(&to_right),
+                            Payload::from(&to_right[..]),
                             (to_right.len() * 8) as u64,
                         )
                         .await;
@@ -150,16 +148,16 @@ impl RankProgram for DistributedMd {
                             &c,
                             right,
                             tagr,
-                            bytes_of_f64(&to_right),
+                            Payload::from(&to_right[..]),
                             (to_right.len() * 8) as u64,
                         )
                         .await;
                         m
                     };
-                    for chunk in f64_of_bytes(&lmsg.data).chunks_exact(4) {
+                    for chunk in lmsg.data.chunks_exact(4) {
                         ghosts.push((chunk[0] as usize, [chunk[1], chunk[2], chunk[3]]));
                     }
-                    for chunk in f64_of_bytes(&rmsg.data).chunks_exact(4) {
+                    for chunk in rmsg.data.chunks_exact(4) {
                         ghosts.push((chunk[0] as usize, [chunk[1], chunk[2], chunk[3]]));
                     }
                 }

@@ -11,9 +11,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use elanib_apps::sweep3d::SweepGrid;
-use elanib_mpi::{
-    bytes_of_f64, f64_of_bytes, recv, send, Communicator, JobSpec, Network, RankProgram,
-};
+use elanib_mpi::{recv, send, Communicator, JobSpec, Network, Payload, RankProgram};
 
 const NY: usize = 12;
 const NZ: usize = 10;
@@ -58,7 +56,7 @@ impl RankProgram for DistributedSweep {
                     vec![0.0; NY * NZ]
                 } else {
                     let m = recv(&c, Some(me - 1), Some(a as i64)).await;
-                    f64_of_bytes(&m.data)
+                    m.data.to_vec()
                 };
                 let (flux, psi_out) = grid.sweep_angle_with_bc(mu, eta, xi, &psi_in);
                 if me + 1 < n {
@@ -66,7 +64,7 @@ impl RankProgram for DistributedSweep {
                         &c,
                         me + 1,
                         a as i64,
-                        bytes_of_f64(&psi_out),
+                        Payload::from(&psi_out[..]),
                         (psi_out.len() * 8) as u64,
                     )
                     .await;

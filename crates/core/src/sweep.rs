@@ -90,10 +90,6 @@ pub struct SweepStats {
     /// Per-worker breakdown, indexed by worker (one entry, worker 0,
     /// in the serial inline mode).
     pub per_worker: Vec<WorkerStat>,
-    /// Kernel events dispatched by each item's own simulation, in item
-    /// order — the per-point cost feedback [`sweep_guided_with_stats`]
-    /// hints are calibrated from.
-    pub per_item_events: Vec<u64>,
 }
 
 impl SweepStats {
@@ -122,8 +118,6 @@ impl SweepStats {
             }
             self.failures.push(m.clone());
         }
-        self.per_item_events
-            .extend_from_slice(&other.per_item_events);
         // Merge worker breakdowns by worker index (the pools of the
         // absorbed sweeps map onto the same OS-thread slots).
         for w in &other.per_worker {
@@ -206,13 +200,12 @@ where
 }
 
 /// [`sweep_with_stats`] with per-item cost hints guiding placement
-/// (`hints[i]` ∝ the expected work of `items[i]`: kernel events from a
-/// previous run's [`SweepStats::per_item_events`], or an analytic
-/// proxy like the point's rank count). Big jobs are claimed first, so
-/// a grid whose largest point dwarfs the rest no longer serializes
-/// behind a nearly-drained pool. Placement never affects results —
-/// every item is still its own single-threaded sim, returned in item
-/// order.
+/// (`hints[i]` ∝ the expected work of `items[i]`: an analytic proxy
+/// such as the point's rank count or message size). Big jobs are
+/// claimed first, so a grid whose largest point dwarfs the rest no
+/// longer serializes behind a nearly-drained pool. Placement never
+/// affects results — every item is still its own single-threaded sim,
+/// returned in item order.
 pub fn sweep_guided_with_stats<I, T, F>(items: &[I], hints: &[u64], f: F) -> (Vec<T>, SweepStats)
 where
     I: Sync,
@@ -255,13 +248,11 @@ where
     let t0 = Instant::now();
     let events = AtomicU64::new(0);
     let done = AtomicUsize::new(0);
-    let per_item: Vec<AtomicU64> = (0..items.len()).map(|_| AtomicU64::new(0)).collect();
 
     let run_one = |i: usize| -> T {
         let ev0 = elanib_simcore::thread_events();
         let out = f(&items[i]);
         let delta = elanib_simcore::thread_events() - ev0;
-        per_item[i].store(delta, Ordering::Relaxed);
         events.fetch_add(delta, Ordering::Relaxed);
         let d = done.fetch_add(1, Ordering::Relaxed) + 1;
         // Live heartbeat for long sweeps (no-op unless ELANIB_PROGRESS
@@ -358,7 +349,6 @@ where
         failed: 0,
         failures: Vec::new(),
         per_worker,
-        per_item_events: per_item.into_iter().map(AtomicU64::into_inner).collect(),
     };
     (results, stats)
 }
@@ -559,7 +549,6 @@ mod tests {
                 events: 100,
                 busy: Duration::from_millis(9),
             }],
-            per_item_events: vec![60, 40],
         };
         let b = SweepStats {
             jobs: 3,
@@ -582,7 +571,6 @@ mod tests {
                     busy: Duration::from_millis(3),
                 },
             ],
-            per_item_events: vec![20, 10, 20],
         };
         a.absorb(&b);
         assert_eq!(a.jobs, 5);
@@ -600,7 +588,6 @@ mod tests {
         assert_eq!(a.per_worker[0].events, 120);
         assert_eq!(a.per_worker[1].worker, 1);
         assert_eq!(a.per_worker[1].events, 30);
-        assert_eq!(a.per_item_events, vec![60, 40, 20, 10, 20]);
     }
 
     #[test]
@@ -729,33 +716,27 @@ mod tests {
     #[test]
     fn guided_placement_matches_unguided_results() {
         // Placement is pure scheduling: hinted and unhinted pools must
-        // return byte-identical item-ordered results, and the per-item
-        // event feedback must match the serial reference per index.
+        // return byte-identical item-ordered results.
         let items: Vec<(u64, u32)> = (0..17).map(|i| (i, (i % 6) as u32 + 1)).collect();
         let serial: Vec<_> = items.iter().map(toy_sim).collect();
-        let serial_events: Vec<u64> = serial.iter().map(|&(_, e)| e).collect();
         let hints: Vec<u64> = (0..items.len() as u64).rev().collect();
         for hints in [None, Some(&hints[..])] {
             let (out, stats) = sweep_on_pool(&items, toy_sim, 3, hints);
             assert_eq!(out, serial, "hints={hints:?}");
-            assert_eq!(stats.per_item_events, serial_events, "hints={hints:?}");
             let jobs: u64 = stats.per_worker.iter().map(|w| w.jobs).sum();
             assert_eq!(jobs, items.len() as u64);
         }
     }
 
     #[test]
-    fn sweep_guided_with_stats_runs_and_reports_per_item_events() {
+    fn sweep_guided_with_stats_runs_and_reports_events() {
         let items: Vec<(u64, u32)> = (0..9).map(|i| (i, (i % 3) as u32 + 1)).collect();
         let hints: Vec<u64> = items.iter().map(|&(_, n)| n as u64 * 10).collect();
         let (out, stats) = sweep_guided_with_stats(&items, &hints, toy_sim);
-        assert_eq!(out, items.iter().map(toy_sim).collect::<Vec<_>>());
-        assert_eq!(stats.per_item_events.len(), items.len());
-        let total: u64 = stats.per_item_events.iter().sum();
-        assert_eq!(
-            total, stats.events,
-            "per-item feedback must sum to the total"
-        );
+        let serial: Vec<_> = items.iter().map(toy_sim).collect();
+        assert_eq!(out, serial);
+        let serial_events: u64 = serial.iter().map(|&(_, e)| e).sum();
+        assert_eq!(stats.events, serial_events);
     }
 
     #[test]

@@ -12,9 +12,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
-use elanib_mpi::{
-    irecv, isend, waitall, zeros, Bytes, Communicator, JobSpec, Network, RankProgram,
-};
+use elanib_mpi::{empty, irecv, isend, waitall, Communicator, JobSpec, Network, RankProgram};
 
 /// b_eff for one system size.
 #[derive(Clone, Copy, Debug)]
@@ -72,9 +70,6 @@ fn patterns(n: usize) -> Vec<Vec<usize>> {
 #[derive(Clone)]
 struct Beff {
     iters: u32,
-    /// One payload per [`beff_sizes`] entry, built once per job and
-    /// shared by every rank and pattern.
-    payloads: Rc<[Bytes]>,
     out: Rc<Cell<f64>>,
 }
 
@@ -94,13 +89,13 @@ impl RankProgram for Beff {
                 let dst = pat[me];
                 let src = pat.iter().position(|&d| d == me).unwrap();
                 let mut sum_bw = 0.0;
-                for (&bytes, payload) in sizes.iter().zip(self.payloads.iter()) {
+                for &bytes in &sizes {
                     barrier(&c).await;
                     let t0 = sim.now();
                     for it in 0..self.iters {
                         let tag = 100 + it as i64;
                         let rr = irecv(&c, Some(src), Some(tag)).await;
-                        let sr = isend(&c, dst, tag, payload.clone(), bytes).await;
+                        let sr = isend(&c, dst, tag, empty(), bytes).await;
                         waitall(&c, vec![rr, sr]).await;
                     }
                     let local = sim.now().since(t0).as_secs_f64();
@@ -131,7 +126,6 @@ pub fn beff(network: Network, nodes: usize, ppn: usize, iters: u32) -> BeffPoint
             },
             Beff {
                 iters,
-                payloads: beff_sizes().into_iter().map(zeros).collect(),
                 out: out.clone(),
             },
         );

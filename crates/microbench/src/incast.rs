@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, Op};
 use elanib_mpi::{
-    irecv, isend, recv, send, waitall, zeros, Bytes, Communicator, JobSpec, Network, RankProgram,
+    empty, irecv, isend, recv, send, waitall, Communicator, JobSpec, Network, RankProgram,
 };
 
 /// One point on an incast curve.
@@ -28,7 +28,6 @@ pub struct IncastPoint {
 #[derive(Clone)]
 struct Incast {
     bytes: u64,
-    payload: Bytes,
     count: u32,
     out_us: Rc<Cell<f64>>,
 }
@@ -49,7 +48,7 @@ impl RankProgram for Incast {
                     reqs.push(irecv(&c, None, Some(1)).await);
                 }
                 for s in 1..n {
-                    send(&c, s, 3, self.payload.clone(), 8).await;
+                    send(&c, s, 3, empty(), 8).await;
                 }
                 let t0 = sim.now();
                 waitall(&c, reqs).await;
@@ -61,7 +60,7 @@ impl RankProgram for Incast {
                 // offered load — the congestion the CC modes exist for.
                 let mut reqs = Vec::with_capacity(self.count as usize);
                 for _ in 0..self.count {
-                    reqs.push(isend(&c, 0, 1, self.payload.clone(), self.bytes).await);
+                    reqs.push(isend(&c, 0, 1, empty(), self.bytes).await);
                 }
                 waitall(&c, reqs).await;
             }
@@ -83,7 +82,6 @@ pub fn incast(network: Network, nodes: usize, bytes: u64, count: u32) -> IncastP
             },
             Incast {
                 bytes,
-                payload: zeros(bytes),
                 count,
                 out_us: out.clone(),
             },

@@ -7,7 +7,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use elanib_mpi::{recv, send, zeros, Bytes, Communicator, JobSpec, Network, RankProgram};
+use elanib_mpi::{empty, recv, send, Communicator, JobSpec, Network, RankProgram};
 
 /// One point on the ping-pong curves.
 #[derive(Clone, Copy, Debug)]
@@ -22,7 +22,6 @@ pub struct PingPongPoint {
 #[derive(Clone)]
 struct PingPong {
     bytes: u64,
-    payload: Bytes,
     iters: u32,
     /// One-way latency in µs, written by rank 0.
     out_us: Rc<Cell<f64>>,
@@ -38,21 +37,21 @@ impl RankProgram for PingPong {
             // Warm-up exchange: connection paths, registration caches.
             // (Pallas also discards warm-up iterations.)
             if c.rank() == 0 {
-                send(&c, 1, 0, self.payload.clone(), self.bytes).await;
+                send(&c, 1, 0, empty(), self.bytes).await;
                 let _ = recv(&c, Some(1), Some(0)).await;
                 let t0 = sim.now();
                 for _ in 0..self.iters {
-                    send(&c, 1, 1, self.payload.clone(), self.bytes).await;
+                    send(&c, 1, 1, empty(), self.bytes).await;
                     let _ = recv(&c, Some(1), Some(2)).await;
                 }
                 let total = sim.now().since(t0).as_us_f64();
                 self.out_us.set(total / (2.0 * self.iters as f64));
             } else if c.rank() == 1 {
                 let _ = recv(&c, Some(0), Some(0)).await;
-                send(&c, 0, 0, self.payload.clone(), self.bytes).await;
+                send(&c, 0, 0, empty(), self.bytes).await;
                 for _ in 0..self.iters {
                     let _ = recv(&c, Some(0), Some(1)).await;
-                    send(&c, 0, 2, self.payload.clone(), self.bytes).await;
+                    send(&c, 0, 2, empty(), self.bytes).await;
                 }
             }
         }
@@ -72,7 +71,6 @@ pub fn pingpong(network: Network, bytes: u64, iters: u32) -> PingPongPoint {
             },
             PingPong {
                 bytes,
-                payload: zeros(bytes),
                 iters,
                 out_us: out.clone(),
             },

@@ -10,7 +10,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use elanib_mpi::{zeros, Bytes, Communicator, JobSpec, Network, RankProgram, CTX_WORLD};
+use elanib_mpi::{empty, Communicator, JobSpec, Network, RankProgram, CTX_WORLD};
 
 /// One point of the re-use study.
 #[derive(Clone, Copy, Debug)]
@@ -25,7 +25,6 @@ pub struct ReusePoint {
 #[derive(Clone)]
 struct ReusePingPong {
     bytes: u64,
-    payload: Bytes,
     reuse_pct: u32,
     iters: u32,
     out_us: Rc<Cell<f64>>,
@@ -57,14 +56,7 @@ impl RankProgram for ReusePingPong {
                 let t0 = sim.now();
                 for i in 0..self.iters {
                     let sr = c
-                        .isend_full(
-                            1,
-                            1,
-                            CTX_WORLD,
-                            self.payload.clone(),
-                            self.bytes,
-                            self.region(1, i),
-                        )
+                        .isend_full(1, 1, CTX_WORLD, empty(), self.bytes, self.region(1, i))
                         .await;
                     c.wait(sr).await;
                     let rr = c
@@ -81,14 +73,7 @@ impl RankProgram for ReusePingPong {
                         .await;
                     c.wait(rr).await;
                     let sr = c
-                        .isend_full(
-                            0,
-                            2,
-                            CTX_WORLD,
-                            self.payload.clone(),
-                            self.bytes,
-                            self.region(4, i),
-                        )
+                        .isend_full(0, 2, CTX_WORLD, empty(), self.bytes, self.region(4, i))
                         .await;
                     c.wait(sr).await;
                 }
@@ -111,7 +96,6 @@ pub fn pingpong_reuse(network: Network, bytes: u64, reuse_pct: u32, iters: u32) 
             },
             ReusePingPong {
                 bytes,
-                payload: zeros(bytes),
                 reuse_pct,
                 iters,
                 out_us: out.clone(),

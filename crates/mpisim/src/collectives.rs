@@ -7,7 +7,9 @@
 //! successive collectives stay ordered by the transports'
 //! non-overtaking guarantee.
 
-use crate::{bytes_of_f64, empty, f64_of_bytes, Bytes, Communicator, RecvMsg, CTX_COLL};
+use std::rc::Rc;
+
+use crate::{empty, Communicator, Payload, RecvMsg, CTX_COLL};
 
 /// Reduction operators supported by [`allreduce`] / [`reduce`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +39,7 @@ const TAG_REDUCE: i64 = 3_000;
 const TAG_GATHER: i64 = 4_000;
 const TAG_ALLTOALL: i64 = 5_000;
 
-async fn coll_send<C: Communicator>(c: &C, dst: usize, tag: i64, data: Bytes, bytes: u64) {
+async fn coll_send<C: Communicator>(c: &C, dst: usize, tag: i64, data: Payload, bytes: u64) {
     let r = c
         .isend_full(
             dst,
@@ -131,7 +133,7 @@ pub async fn barrier<C: Communicator>(c: &C) {
 }
 
 /// Binomial-tree broadcast from `root`; every rank returns the payload.
-pub async fn bcast<C: Communicator>(c: &C, root: usize, data: Bytes, bytes: u64) -> Bytes {
+pub async fn bcast<C: Communicator>(c: &C, root: usize, data: Payload, bytes: u64) -> Payload {
     let n = c.size();
     if n == 1 {
         return data;
@@ -187,18 +189,11 @@ pub async fn reduce<C: Communicator>(c: &C, root: usize, op: Op, x: &[f64]) -> O
             let child = me + d;
             if child < n {
                 let m = coll_recv(c, (child + root) % n, TAG_REDUCE).await;
-                op.apply(&mut acc, &f64_of_bytes(&m.data));
+                op.apply(&mut acc, &m.data);
             }
         } else {
             let parent = me - d;
-            coll_send(
-                c,
-                (parent + root) % n,
-                TAG_REDUCE,
-                bytes_of_f64(&acc),
-                bytes,
-            )
-            .await;
+            coll_send(c, (parent + root) % n, TAG_REDUCE, Rc::from(acc), bytes).await;
             coll_end(c, "reduce", t0);
             return None;
         }
@@ -214,14 +209,8 @@ pub async fn allreduce<C: Communicator>(c: &C, op: Op, x: &[f64]) -> Vec<f64> {
     let bytes = (x.len() * 8) as u64;
     let t0 = coll_start(c);
     let out = match reduce(c, 0, op, x).await {
-        Some(acc) => {
-            let data = bcast(c, 0, bytes_of_f64(&acc), bytes).await;
-            f64_of_bytes(&data)
-        }
-        None => {
-            let data = bcast(c, 0, empty(), bytes).await;
-            f64_of_bytes(&data)
-        }
+        Some(acc) => bcast(c, 0, Rc::from(acc), bytes).await.to_vec(),
+        None => bcast(c, 0, empty(), bytes).await.to_vec(),
     };
     coll_end(c, "allreduce", t0);
     out
@@ -231,13 +220,13 @@ pub async fn allreduce<C: Communicator>(c: &C, op: Op, x: &[f64]) -> Vec<f64> {
 pub async fn gather<C: Communicator>(
     c: &C,
     root: usize,
-    data: Bytes,
+    data: Payload,
     bytes: u64,
-) -> Option<Vec<Bytes>> {
+) -> Option<Vec<Payload>> {
     let n = c.size();
     let t0 = coll_start(c);
     let out = if c.rank() == root {
-        let mut out: Vec<Option<Bytes>> = vec![None; n];
+        let mut out: Vec<Option<Payload>> = vec![None; n];
         out[root] = Some(data);
         for _ in 0..n - 1 {
             let r = c.irecv_full(None, Some(TAG_GATHER), CTX_COLL, 0).await;
@@ -256,11 +245,15 @@ pub async fn gather<C: Communicator>(
 /// Allgather: every rank contributes one payload; all ranks return the
 /// full vector indexed by rank. Recursive doubling for power-of-two
 /// sizes (log₂ n rounds with doubling block sizes — the pattern NPB CG
-/// uses to reassemble its iterate), ring otherwise.
-pub async fn allgather<C: Communicator>(c: &C, mine: Bytes, per_rank_bytes: u64) -> Vec<Bytes> {
+/// uses to reassemble its iterate), ring otherwise. As in
+/// MPI_Allgather, every rank must contribute the same number of
+/// elements; a contribution of another length panics.
+pub async fn allgather<C: Communicator>(c: &C, mine: Payload, per_rank_bytes: u64) -> Vec<Payload> {
+    const EQUAL_COUNTS: &str = "MPI_Allgather: every rank must contribute the same count";
     let n = c.size();
     let me = c.rank();
-    let mut out: Vec<Option<Bytes>> = vec![None; n];
+    let len = mine.len();
+    let mut out: Vec<Option<Payload>> = vec![None; n];
     out[me] = Some(mine);
     if n == 1 {
         return out.into_iter().map(|o| o.unwrap()).collect();
@@ -268,34 +261,33 @@ pub async fn allgather<C: Communicator>(c: &C, mine: Bytes, per_rank_bytes: u64)
     let t0 = coll_start(c);
     if n.is_power_of_two() {
         // Recursive doubling: after round k, each rank holds the
-        // aligned block of 2^(k+1) contributions containing itself.
+        // aligned block of 2^(k+1) contributions containing itself,
+        // and ships it as one concatenated payload of the combined
+        // modelled size.
         let mut have = 1usize;
         let mut base = me;
         let mut dist = 1usize;
         while dist < n {
             let partner = me ^ dist;
             let tag = TAG_ALLGATHER + dist as i64;
-            // Serialize my block: (base, payloads...) — the payloads
-            // travel as a concatenation with a tiny index header; for
-            // the simulation we ship them as one message of the
-            // combined modelled size and reconstruct from rank math.
-            let block: Vec<Bytes> = (base..base + have)
-                .map(|i| out[i].clone().expect("own block present"))
+            let block: Vec<&[f64]> = out[base..base + have]
+                .iter()
+                .map(|o| o.as_deref().expect("own block present"))
                 .collect();
-            let packed = pack(&block);
+            let block = Payload::from(block.concat());
             let bytes = per_rank_bytes * have as u64;
             let m = if me < partner {
-                coll_send(c, partner, tag, packed, bytes).await;
+                coll_send(c, partner, tag, block, bytes).await;
                 coll_recv(c, partner, tag).await
             } else {
                 let m = coll_recv(c, partner, tag).await;
-                coll_send(c, partner, tag, packed, bytes).await;
+                coll_send(c, partner, tag, block, bytes).await;
                 m
             };
-            let theirs = unpack(&m.data);
+            assert_eq!(m.data.len(), have * len, "{EQUAL_COUNTS}");
             let their_base = base ^ dist;
-            for (k, b) in theirs.into_iter().enumerate() {
-                out[their_base + k] = Some(b);
+            for k in 0..have {
+                out[their_base + k] = Some(Rc::from(&m.data[k * len..(k + 1) * len]));
             }
             base = base.min(their_base);
             have *= 2;
@@ -315,6 +307,7 @@ pub async fn allgather<C: Communicator>(c: &C, mine: Bytes, per_rank_bytes: u64)
                 .await;
             let m = c.wait(rr).await.unwrap();
             c.wait(sr).await;
+            assert_eq!(m.data.len(), len, "{EQUAL_COUNTS}");
             carry = m.data;
             carry_idx = (carry_idx + n - 1) % n;
             out[carry_idx] = Some(carry.clone());
@@ -326,40 +319,18 @@ pub async fn allgather<C: Communicator>(c: &C, mine: Bytes, per_rank_bytes: u64)
         .collect()
 }
 
-/// Concatenate payloads with u32 length prefixes (so unpack can split).
-fn pack(blocks: &[Bytes]) -> Bytes {
-    let mut v = Vec::new();
-    for b in blocks {
-        v.extend_from_slice(&(b.len() as u32).to_le_bytes());
-        v.extend_from_slice(b);
-    }
-    std::rc::Rc::new(v)
-}
-
-fn unpack(data: &Bytes) -> Vec<Bytes> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + 4 <= data.len() {
-        let len = u32::from_le_bytes(data[i..i + 4].try_into().unwrap()) as usize;
-        i += 4;
-        out.push(std::rc::Rc::new(data[i..i + len].to_vec()));
-        i += len;
-    }
-    out
-}
-
 /// Pairwise-exchange all-to-all: every rank sends `per_peer_bytes` to
 /// every other rank. Returns the received payloads indexed by source.
 pub async fn alltoall<C: Communicator>(
     c: &C,
-    payloads: Vec<Bytes>,
+    payloads: Vec<Payload>,
     per_peer_bytes: u64,
-) -> Vec<Bytes> {
+) -> Vec<Payload> {
     let n = c.size();
     assert_eq!(payloads.len(), n);
     let t0 = coll_start(c);
     let me = c.rank();
-    let mut out: Vec<Bytes> = vec![empty(); n];
+    let mut out: Vec<Payload> = vec![empty(); n];
     out[me] = payloads[me].clone();
     for step in 1..n {
         let dst = (me + step) % n;

@@ -27,10 +27,12 @@
 //!
 //! ## Timing vs. data
 //!
-//! Every message carries both a real payload ([`Bytes`], for
-//! application correctness) and a modelled size in bytes (for timing).
-//! They usually agree, but scaled-down application proxies may carry a
-//! small real payload while charging full-scale wire time.
+//! Every message carries both a payload ([`Payload`], the `f64`s the
+//! application numerics read) and a modelled size in bytes (the only
+//! thing any timing path reads). They are independent: a CG exchange
+//! carries exactly the floats it charges for, a scaled-down proxy
+//! carries a few floats while charging full-scale wire time, and a
+//! microbenchmark sends [`empty`] with whatever size it measures.
 
 use std::future::Future;
 use std::rc::Rc;
@@ -43,7 +45,7 @@ pub mod subcomm;
 pub mod tports;
 pub mod verbs;
 
-pub use elanib_nic::{Bytes, RoceMode, RoceParams};
+pub use elanib_nic::{Payload, RoceMode, RoceParams};
 pub use runner::{
     run_job, run_job_configured, run_scenario, run_scenario_on, JobSpec, NetConfig, Network,
     RankProgram, ScenarioRun,
@@ -72,7 +74,7 @@ pub struct RecvMsg {
     pub src: usize,
     pub tag: i64,
     pub bytes: u64,
-    pub data: Bytes,
+    pub data: Payload,
 }
 
 /// Context id of the application's world communicator.
@@ -98,7 +100,7 @@ pub trait Communicator: Clone + 'static {
         dst: usize,
         tag: i64,
         ctx: u32,
-        data: Bytes,
+        data: Payload,
         bytes: u64,
         region: u64,
     ) -> impl Future<Output = Self::Req>;
@@ -146,7 +148,7 @@ pub async fn isend<C: Communicator>(
     c: &C,
     dst: usize,
     tag: i64,
-    data: Bytes,
+    data: Payload,
     bytes: u64,
 ) -> C::Req {
     c.isend_full(dst, tag, CTX_WORLD, data, bytes, auto_region(1, tag, bytes))
@@ -160,7 +162,7 @@ pub async fn irecv<C: Communicator>(c: &C, src: Option<usize>, tag: Option<i64>)
 }
 
 /// Blocking standard-mode send.
-pub async fn send<C: Communicator>(c: &C, dst: usize, tag: i64, data: Bytes, bytes: u64) {
+pub async fn send<C: Communicator>(c: &C, dst: usize, tag: i64, data: Payload, bytes: u64) {
     let r = isend(c, dst, tag, data, bytes).await;
     c.wait(r).await;
 }
@@ -177,7 +179,7 @@ pub async fn sendrecv<C: Communicator>(
     c: &C,
     dst: usize,
     stag: i64,
-    data: Bytes,
+    data: Payload,
     bytes: u64,
     src: usize,
     rtag: i64,
@@ -199,63 +201,21 @@ pub async fn waitall<C: Communicator>(c: &C, reqs: Vec<C::Req>) -> Vec<Option<Re
     out
 }
 
-/// Encode a float slice as a payload (little-endian).
-pub fn bytes_of_f64(xs: &[f64]) -> Bytes {
-    // Sized-then-filled (rather than repeated extend_from_slice) so
-    // the encode compiles to one allocation and a straight copy; this
-    // runs once per simulated exchange on every CG/MD iteration.
-    let mut v = vec![0u8; xs.len() * 8];
-    for (c, x) in v.chunks_exact_mut(8).zip(xs) {
-        c.copy_from_slice(&x.to_le_bytes());
-    }
-    Rc::new(v)
+/// A payload holding a copy of `xs`: the same as `Payload::from(xs)`,
+/// kept for callers written against the earlier byte-payload API.
+pub fn bytes_of_f64(xs: &[f64]) -> Payload {
+    Rc::from(xs)
 }
 
-/// Decode a payload produced by [`bytes_of_f64`].
-pub fn f64_of_bytes(b: &Bytes) -> Vec<f64> {
-    f64s_of_bytes(b).collect()
-}
-
-/// Streaming decode of a [`bytes_of_f64`] payload — same values as
-/// [`f64_of_bytes`] without the intermediate `Vec`, for accumulate /
-/// copy-into consumers on per-iteration exchange paths.
-pub fn f64s_of_bytes(b: &[u8]) -> impl Iterator<Item = f64> + '_ {
-    b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-}
-
-/// All-zero payload standing in for a `bytes`-long message: the same
-/// length and content as encoding `(bytes / 8).max(1)` zero floats
-/// with [`bytes_of_f64`], in one zeroed allocation. Build it once and
-/// share it by `Rc` clone; the model reads only the `bytes` argument.
-pub fn zeros(bytes: u64) -> Bytes {
-    Rc::new(vec![0u8; 8 * (bytes as usize / 8).max(1)])
-}
-
-/// Empty payload for control-style messages.
-pub fn empty() -> Bytes {
+/// Empty payload: what control messages and microbenchmarks send,
+/// whatever size they charge.
+pub fn empty() -> Payload {
     elanib_nic::no_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn f64_payload_round_trip() {
-        let xs = [1.5, -2.25, 0.0, f64::MAX];
-        let b = bytes_of_f64(&xs);
-        assert_eq!(b.len(), 32);
-        assert_eq!(f64_of_bytes(&b), xs);
-    }
-
-    #[test]
-    fn zeros_matches_encoded_zero_floats() {
-        for bytes in [0u64, 1, 7, 8, 9, 4096, 1_048_576] {
-            let want = bytes_of_f64(&vec![0.0; (bytes as usize / 8).max(1)]);
-            assert_eq!(*zeros(bytes), *want, "{bytes} B");
-        }
-    }
 
     #[test]
     fn auto_region_distinguishes_direction_tag_and_size_class() {

@@ -449,7 +449,7 @@ mod tests {
         fn run<C: Communicator>(self, c: C) -> impl std::future::Future<Output = ()> + 'static {
             async move {
                 if c.rank() == 0 {
-                    crate::send(&c, 1, 1, crate::zeros(4096), 4096).await;
+                    crate::send(&c, 1, 1, crate::empty(), 4096).await;
                 } else {
                     let _ = crate::recv(&c, Some(0), Some(1)).await;
                 }

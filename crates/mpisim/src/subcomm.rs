@@ -13,7 +13,7 @@
 
 use std::rc::Rc;
 
-use crate::{Bytes, Communicator, RecvMsg};
+use crate::{Communicator, Payload, RecvMsg};
 
 /// A communicator over a subgroup of another communicator's ranks.
 #[derive(Clone)]
@@ -82,7 +82,7 @@ impl<C: Communicator> Communicator for SubComm<C> {
         dst: usize,
         tag: i64,
         ctx: u32,
-        data: Bytes,
+        data: Payload,
         bytes: u64,
         region: u64,
     ) -> C::Req {

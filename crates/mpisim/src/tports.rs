@@ -11,7 +11,7 @@ use std::rc::Rc;
 use std::cell::RefCell;
 
 use elanib_fabric::elan_fabric_with;
-use elanib_nic::{Bytes, ElanNet, HcaParams, RegCache, TportHeader, TportRecvHandle, TportSel};
+use elanib_nic::{ElanNet, HcaParams, Payload, RegCache, TportHeader, TportRecvHandle, TportSel};
 use elanib_nodesim::Node;
 use elanib_simcore::{Dur, Flag, Sim};
 
@@ -193,7 +193,7 @@ impl Communicator for TportsComm {
         dst: usize,
         tag: i64,
         ctx: u32,
-        data: Bytes,
+        data: Payload,
         bytes: u64,
         region: u64, // unused unless the explicit-registration ablation is on
     ) -> TportsReq {

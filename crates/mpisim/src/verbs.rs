@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use elanib_fabric::{faults::FaultPlan, ib_fabric_with, roce_fabric_with};
-use elanib_nic::{Bytes, IbNet, RoceCc, RoceParams};
+use elanib_nic::{IbNet, Payload, RoceCc, RoceParams};
 use elanib_nodesim::Node;
 use elanib_simcore::{Dur, Flag, Race2, Sim};
 
@@ -105,7 +105,7 @@ impl Default for VerbsParams {
 pub enum IbMsg {
     Eager {
         hdr: MsgHdr,
-        data: Bytes,
+        data: Payload,
         bytes: u64,
     },
     Rts {
@@ -123,7 +123,7 @@ pub enum IbMsg {
     Fin {
         recv_id: u64,
         hdr: MsgHdr,
-        data: Bytes,
+        data: Payload,
         bytes: u64,
     },
 }
@@ -158,7 +158,7 @@ struct PostedRecv {
 }
 
 enum UnexpKind {
-    Eager { data: Bytes, bytes: u64 },
+    Eager { data: Payload, bytes: u64 },
     Rts { bytes: u64, send_id: u64 },
 }
 
@@ -176,7 +176,7 @@ pub struct RecvSlot {
 
 struct SendPending {
     hdr: MsgHdr,
-    data: Bytes,
+    data: Payload,
     bytes: u64,
     done: Flag,
 }
@@ -622,7 +622,7 @@ impl VerbsComm {
         }
     }
 
-    fn complete_recv(&self, recv_id: u64, hdr: MsgHdr, data: Bytes, bytes: u64) {
+    fn complete_recv(&self, recv_id: u64, hdr: MsgHdr, data: Payload, bytes: u64) {
         let slot = self
             .st()
             .recvs
@@ -657,7 +657,7 @@ impl Communicator for VerbsComm {
         dst: usize,
         tag: i64,
         ctx: u32,
-        data: Bytes,
+        data: Payload,
         bytes: u64,
         region: u64,
     ) -> VerbsReq {

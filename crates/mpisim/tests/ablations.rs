@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use elanib_mpi::tports::{ElanWorld, TportsMpiParams};
 use elanib_mpi::verbs::{IbWorld, VerbsParams};
-use elanib_mpi::{bytes_of_f64, irecv, isend, Communicator, NetConfig, CTX_WORLD};
+use elanib_mpi::{irecv, isend, Communicator, NetConfig, Payload, CTX_WORLD};
 use elanib_nic::ElanParams;
 use elanib_simcore::{Dur, Sim};
 
@@ -31,7 +31,7 @@ fn ib_recv_time_ms(params: VerbsParams, compute_ms: u64) -> f64 {
         let (d, s) = (done.clone(), sim.clone());
         sim.spawn(format!("r{r}"), async move {
             if c.rank() == 0 {
-                let req = isend(&c, 1, 1, bytes_of_f64(&[0.0; 16]), 2_000_000).await;
+                let req = isend(&c, 1, 1, Payload::from([0.0; 16]), 2_000_000).await;
                 c.compute(Dur::from_ms(compute_ms), 0.1).await;
                 c.wait(req).await;
             } else {
@@ -90,7 +90,7 @@ fn async_progress_costs_latency() {
             let c = w.comm(r);
             let (o, s) = (out.clone(), sim.clone());
             sim.spawn(format!("r{r}"), async move {
-                let payload = bytes_of_f64(&[0.0]);
+                let payload = Payload::from([0.0]);
                 if c.rank() == 0 {
                     let t0 = s.now();
                     for _ in 0..50 {
@@ -145,7 +145,7 @@ fn explicit_registration_makes_elan_reuse_sensitive() {
             let c = w.comm(r);
             let (o, s) = (out.clone(), sim.clone());
             sim.spawn(format!("r{r}"), async move {
-                let payload = bytes_of_f64(&vec![0.0; 64]);
+                let payload = Payload::from([0.0; 64]);
                 let region = |dir: u64, i: u32| {
                     if fresh_buffers {
                         (dir << 58) | (5_000 + i as u64)

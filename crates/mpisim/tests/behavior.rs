@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
-use elanib_mpi::{bytes_of_f64, irecv, isend, recv, send, zeros, Communicator};
+use elanib_mpi::{empty, irecv, isend, recv, send, Communicator, Payload};
 use elanib_simcore::{Dur, Sim};
 
 /// One-way small-message latency via 100-iteration ping-pong.
@@ -24,11 +24,10 @@ where
         let res = result.clone();
         let s = sim.clone();
         sim.spawn(format!("pp{r}"), async move {
-            let payload = zeros(bytes);
             if c.rank() == 0 {
                 let t0 = s.now();
                 for _ in 0..iters {
-                    send(&c, 1, 1, payload.clone(), bytes).await;
+                    send(&c, 1, 1, empty(), bytes).await;
                     let _ = recv(&c, Some(1), Some(2)).await;
                 }
                 let total = s.now().since(t0);
@@ -36,7 +35,7 @@ where
             } else {
                 for _ in 0..iters {
                     let _ = recv(&c, Some(0), Some(1)).await;
-                    send(&c, 0, 2, payload.clone(), bytes).await;
+                    send(&c, 0, 2, empty(), bytes).await;
                 }
             }
         });
@@ -167,7 +166,7 @@ fn rendezvous_recv_time_ms(elan: bool, compute_ms: u64) -> f64 {
                 let s = sim.clone();
                 sim.spawn(format!("rk{r}"), async move {
                     if c.rank() == 0 {
-                        let req = isend(&c, 1, 1, bytes_of_f64(&[1.0; 64]), bytes).await;
+                        let req = isend(&c, 1, 1, Payload::from([1.0; 64]), bytes).await;
                         // Long compute phase: no MPI calls at all.
                         c_node_compute(&c, &s, Dur::from_ms(compute_ms)).await;
                         c.wait(req).await;
@@ -258,7 +257,7 @@ fn message_rate_gap_small_messages() {
                             let t0 = s.now();
                             let mut reqs = Vec::new();
                             for _ in 0..count {
-                                reqs.push(isend(&c, 1, 1, bytes_of_f64(&[0.0]), 8).await);
+                                reqs.push(isend(&c, 1, 1, Payload::from([0.0]), 8).await);
                             }
                             for r in reqs {
                                 c.wait(r).await;
@@ -272,11 +271,11 @@ fn message_rate_gap_small_messages() {
                             for _ in 0..count {
                                 reqs.push(irecv(&c, Some(0), Some(1)).await);
                             }
-                            send(&c, 0, 3, bytes_of_f64(&[0.0]), 8).await;
+                            send(&c, 0, 3, Payload::from([0.0]), 8).await;
                             for r in reqs {
                                 c.wait(r).await;
                             }
-                            send(&c, 0, 2, bytes_of_f64(&[0.0]), 8).await;
+                            send(&c, 0, 2, Payload::from([0.0]), 8).await;
                         }
                     });
                 }

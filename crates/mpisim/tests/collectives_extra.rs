@@ -7,10 +7,17 @@ use std::rc::Rc;
 use elanib_mpi::collectives::allgather;
 use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
-use elanib_mpi::{bytes_of_f64, f64_of_bytes, Communicator, Network};
+use elanib_mpi::{Communicator, Network, Payload};
 use elanib_simcore::Sim;
 
-fn run_allgather(net: Network, nodes: usize, ppn: usize) {
+/// Rank `r`'s contribution in the default tests: two floats.
+fn pair(r: usize) -> Vec<f64> {
+    vec![r as f64 * 3.0, 1.0]
+}
+
+/// Every rank contributes `contribution(rank)`, charged at 8 bytes per
+/// float, and checks that it gets back every rank's contribution.
+fn run_allgather(net: Network, nodes: usize, ppn: usize, contribution: fn(usize) -> Vec<f64>) {
     let sim = Sim::new(51);
     let done = Rc::new(RefCell::new(0usize));
     macro_rules! body {
@@ -20,11 +27,12 @@ fn run_allgather(net: Network, nodes: usize, ppn: usize) {
                 let c = w.comm(r);
                 let d = done.clone();
                 sim.spawn(format!("r{r}"), async move {
-                    let me = c.rank();
-                    let out = allgather(&c, bytes_of_f64(&[me as f64 * 3.0, 1.0]), 16).await;
+                    let mine = contribution(c.rank());
+                    let bytes = (mine.len() * 8) as u64;
+                    let out = allgather(&c, Payload::from(mine), bytes).await;
                     assert_eq!(out.len(), c.size());
                     for (src, b) in out.iter().enumerate() {
-                        assert_eq!(f64_of_bytes(b), vec![src as f64 * 3.0, 1.0]);
+                        assert_eq!(b[..], contribution(src)[..]);
                     }
                     *d.borrow_mut() += 1;
                 });
@@ -43,20 +51,34 @@ fn run_allgather(net: Network, nodes: usize, ppn: usize) {
 #[test]
 fn allgather_power_of_two() {
     for net in Network::BOTH {
-        run_allgather(net, 4, 2); // 8 ranks: recursive doubling
-        run_allgather(net, 2, 1); // 2 ranks
+        run_allgather(net, 4, 2, pair); // 8 ranks: recursive doubling
+        run_allgather(net, 2, 1, pair); // 2 ranks
     }
 }
 
 #[test]
 fn allgather_ring_fallback() {
     for net in Network::BOTH {
-        run_allgather(net, 3, 1); // 3 ranks: ring
-        run_allgather(net, 5, 1); // 5 ranks: ring
+        run_allgather(net, 3, 1, pair); // 3 ranks: ring
+        run_allgather(net, 5, 1, pair); // 5 ranks: ring
     }
 }
 
 #[test]
 fn allgather_single_rank() {
-    run_allgather(Network::Elan4, 1, 1);
+    run_allgather(Network::Elan4, 1, 1, pair);
+}
+
+#[test]
+fn allgather_zero_length_contributions() {
+    for net in Network::BOTH {
+        run_allgather(net, 4, 2, |_| Vec::new()); // recursive doubling
+        run_allgather(net, 3, 1, |_| Vec::new()); // ring
+    }
+}
+
+#[test]
+#[should_panic(expected = "MPI_Allgather: every rank must contribute the same count")]
+fn allgather_rejects_unequal_contributions() {
+    run_allgather(Network::Elan4, 4, 1, |r| vec![1.0; 1 + (r == 0) as usize]);
 }

@@ -7,7 +7,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use elanib_mpi::{
-    bytes_of_f64, irecv, isend, recv, send, waitall, Communicator, JobSpec, Network, RankProgram,
+    irecv, isend, recv, send, waitall, Communicator, JobSpec, Network, Payload, RankProgram,
 };
 use elanib_simcore::SimTime;
 
@@ -32,7 +32,7 @@ impl RankProgram for Incast {
                 waitall(&c, reqs).await;
                 self.done_at.set(c.sim().now().as_secs_f64());
             } else {
-                send(&c, 0, 1, bytes_of_f64(&[c.rank() as f64]), self.bytes).await;
+                send(&c, 0, 1, Payload::from([c.rank() as f64]), self.bytes).await;
             }
         }
     }
@@ -109,7 +109,7 @@ impl RankProgram for DisjointPairs {
             barrier(&c).await;
             let t0 = c.sim().now();
             if me.is_multiple_of(2) {
-                send(&c, me + 1, 1, bytes_of_f64(&[me as f64]), self.bytes).await;
+                send(&c, me + 1, 1, Payload::from([me as f64]), self.bytes).await;
             } else {
                 let _ = recv(&c, Some(me - 1), Some(1)).await;
                 if me == n - 1 {
@@ -168,12 +168,12 @@ fn congested_payloads_survive() {
                     let mut sum = 0.0;
                     for _ in 1..n {
                         let m = recv(&c, None, Some(1)).await;
-                        sum += elanib_mpi::f64_of_bytes(&m.data)[0];
+                        sum += m.data[0];
                     }
                     self.sum.set(sum);
                 } else {
                     // Two concurrent sends per rank for extra pressure.
-                    let r1 = isend(&c, 0, 1, bytes_of_f64(&[c.rank() as f64]), 300_000).await;
+                    let r1 = isend(&c, 0, 1, Payload::from([c.rank() as f64]), 300_000).await;
                     c.wait(r1).await;
                 }
             }

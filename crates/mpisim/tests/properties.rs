@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use elanib_mpi::collectives::{allreduce, alltoall, bcast, Op};
 use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
-use elanib_mpi::{bytes_of_f64, f64_of_bytes, isend, recv, waitall, Communicator, Network};
+use elanib_mpi::{isend, recv, waitall, Communicator, Network, Payload};
 use elanib_simcore::Sim;
 
 /// Random pairwise traffic: rank 0 sends a sequence of (tag, value,
@@ -37,7 +37,7 @@ fn run_traffic(net: Network, msgs: Vec<(i64, f64, u64)>, recv_order: Vec<usize>)
                         let mut reqs = Vec::new();
                         for (i, &(tag, v, bytes)) in msgs.iter().enumerate() {
                             reqs.push(
-                                isend(&c, 1, tag * 100 + i as i64, bytes_of_f64(&[v]), bytes).await,
+                                isend(&c, 1, tag * 100 + i as i64, Payload::from([v]), bytes).await,
                             );
                         }
                         waitall(&c, reqs).await;
@@ -45,7 +45,7 @@ fn run_traffic(net: Network, msgs: Vec<(i64, f64, u64)>, recv_order: Vec<usize>)
                         for &i in &order {
                             let (tag, _, _) = msgs[i];
                             let m = recv(&c, Some(0), Some(tag * 100 + i as i64)).await;
-                            g.borrow_mut().push(f64_of_bytes(&m.data)[0]);
+                            g.borrow_mut().push(m.data[0]);
                         }
                     }
                 });
@@ -169,12 +169,12 @@ proptest! {
             let s = seen.clone();
             sim.spawn(format!("r{r}"), async move {
                 let data = if c.rank() == root {
-                    bytes_of_f64(&p)
+                    Payload::from(&p[..])
                 } else {
                     elanib_mpi::empty()
                 };
                 let out = bcast(&c, root, data, (p.len() * 8) as u64).await;
-                assert_eq!(f64_of_bytes(&out), p);
+                assert_eq!(out[..], p[..]);
                 *s.borrow_mut() += 1;
             });
         }
@@ -197,11 +197,11 @@ proptest! {
                 let me = c.rank();
                 let n = c.size();
                 let payloads: Vec<_> = (0..n)
-                    .map(|d| bytes_of_f64(&[(me * 1000 + d) as f64]))
+                    .map(|d| Payload::from([(me * 1000 + d) as f64]))
                     .collect();
                 let got = alltoall(&c, payloads, 8).await;
                 for (src, b) in got.iter().enumerate() {
-                    assert_eq!(f64_of_bytes(b)[0], (src * 1000 + me) as f64);
+                    assert_eq!(b[0], (src * 1000 + me) as f64);
                 }
                 *k.borrow_mut() += 1;
             });

@@ -12,8 +12,8 @@ use elanib_mpi::collectives::{allreduce, alltoall, barrier, bcast, gather, reduc
 use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
 use elanib_mpi::{
-    bytes_of_f64, empty, f64_of_bytes, irecv, isend, recv, send, sendrecv, waitall, Communicator,
-    NetConfig, Network, RoceParams, WorldStats,
+    empty, irecv, isend, recv, send, sendrecv, waitall, Communicator, NetConfig, Network, Payload,
+    RoceParams, WorldStats,
 };
 use elanib_simcore::{Dur, Sim};
 
@@ -71,7 +71,7 @@ pub trait CommAny {
         &'a self,
         dst: usize,
         tag: i64,
-        data: elanib_mpi::Bytes,
+        data: elanib_mpi::Payload,
         bytes: u64,
     ) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()> + 'a>>;
     fn recv_b<'a>(
@@ -88,20 +88,20 @@ pub trait CommAny {
     fn bcast_b<'a>(
         &'a self,
         root: usize,
-        data: elanib_mpi::Bytes,
+        data: elanib_mpi::Payload,
         bytes: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = elanib_mpi::Bytes> + 'a>>;
+    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = elanib_mpi::Payload> + 'a>>;
     fn gather_b<'a>(
         &'a self,
         root: usize,
-        data: elanib_mpi::Bytes,
+        data: elanib_mpi::Payload,
         bytes: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Option<Vec<elanib_mpi::Bytes>>> + 'a>>;
+    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Option<Vec<elanib_mpi::Payload>>> + 'a>>;
     fn alltoall_b<'a>(
         &'a self,
-        payloads: Vec<elanib_mpi::Bytes>,
+        payloads: Vec<elanib_mpi::Payload>,
         per_peer: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Vec<elanib_mpi::Bytes>> + 'a>>;
+    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Vec<elanib_mpi::Payload>> + 'a>>;
     fn reduce_b<'a>(
         &'a self,
         root: usize,
@@ -112,7 +112,7 @@ pub trait CommAny {
         &'a self,
         dst: usize,
         stag: i64,
-        data: elanib_mpi::Bytes,
+        data: elanib_mpi::Payload,
         bytes: u64,
         src: usize,
         rtag: i64,
@@ -133,7 +133,7 @@ impl<C: Communicator> CommAny for C {
         &'a self,
         dst: usize,
         tag: i64,
-        data: elanib_mpi::Bytes,
+        data: elanib_mpi::Payload,
         bytes: u64,
     ) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()> + 'a>> {
         Box::pin(send(self, dst, tag, data, bytes))
@@ -158,25 +158,25 @@ impl<C: Communicator> CommAny for C {
     fn bcast_b<'a>(
         &'a self,
         root: usize,
-        data: elanib_mpi::Bytes,
+        data: elanib_mpi::Payload,
         bytes: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = elanib_mpi::Bytes> + 'a>> {
+    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = elanib_mpi::Payload> + 'a>> {
         Box::pin(bcast(self, root, data, bytes))
     }
     fn gather_b<'a>(
         &'a self,
         root: usize,
-        data: elanib_mpi::Bytes,
+        data: elanib_mpi::Payload,
         bytes: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Option<Vec<elanib_mpi::Bytes>>> + 'a>>
+    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Option<Vec<elanib_mpi::Payload>>> + 'a>>
     {
         Box::pin(gather(self, root, data, bytes))
     }
     fn alltoall_b<'a>(
         &'a self,
-        payloads: Vec<elanib_mpi::Bytes>,
+        payloads: Vec<elanib_mpi::Payload>,
         per_peer: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Vec<elanib_mpi::Bytes>> + 'a>> {
+    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Vec<elanib_mpi::Payload>> + 'a>> {
         Box::pin(alltoall(self, payloads, per_peer))
     }
     fn reduce_b<'a>(
@@ -191,7 +191,7 @@ impl<C: Communicator> CommAny for C {
         &'a self,
         dst: usize,
         stag: i64,
-        data: elanib_mpi::Bytes,
+        data: elanib_mpi::Payload,
         bytes: u64,
         src: usize,
         rtag: i64,
@@ -204,13 +204,13 @@ impl<C: Communicator> CommAny for C {
 fn pingpong_payload_integrity() {
     run_all(2, 1, |c| async move {
         if c.rank() == 0 {
-            c.send_b(1, 5, bytes_of_f64(&[1.0, 2.0, 3.0]), 24).await;
+            c.send_b(1, 5, Payload::from([1.0, 2.0, 3.0]), 24).await;
             let m = c.recv_b(Some(1), Some(6)).await;
-            assert_eq!(f64_of_bytes(&m.data), vec![2.0, 4.0, 6.0]);
+            assert_eq!(m.data[..], [2.0, 4.0, 6.0]);
         } else {
             let m = c.recv_b(Some(0), Some(5)).await;
-            let doubled: Vec<f64> = f64_of_bytes(&m.data).iter().map(|x| x * 2.0).collect();
-            c.send_b(0, 6, bytes_of_f64(&doubled), 24).await;
+            let doubled: Vec<f64> = m.data.iter().map(|x| x * 2.0).collect();
+            c.send_b(0, 6, Payload::from(&doubled[..]), 24).await;
         }
     });
 }
@@ -222,11 +222,11 @@ fn large_message_rendezvous_integrity() {
         let n = 1024usize;
         if c.rank() == 0 {
             let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            c.send_b(1, 1, bytes_of_f64(&data), 256 * 1024).await;
+            c.send_b(1, 1, Payload::from(&data[..]), 256 * 1024).await;
         } else {
             let m = c.recv_b(Some(0), Some(1)).await;
             assert_eq!(m.bytes, 256 * 1024);
-            let got = f64_of_bytes(&m.data);
+            let got = &m.data[..];
             assert_eq!(got.len(), n);
             assert_eq!(got[1023], 1023.0);
         }
@@ -239,12 +239,12 @@ fn non_overtaking_same_tag() {
         let count = 20;
         if c.rank() == 0 {
             for i in 0..count {
-                c.send_b(1, 9, bytes_of_f64(&[i as f64]), 8).await;
+                c.send_b(1, 9, Payload::from([i as f64]), 8).await;
             }
         } else {
             for i in 0..count {
                 let m = c.recv_b(Some(0), Some(9)).await;
-                assert_eq!(f64_of_bytes(&m.data)[0], i as f64, "overtaken at {i}");
+                assert_eq!(m.data[0], i as f64, "overtaken at {i}");
             }
         }
     });
@@ -256,13 +256,13 @@ fn mixed_eager_and_rendezvous_stay_ordered() {
         if c.rank() == 0 {
             // Rendezvous first (slow), eager second (fast): the
             // receiver must still match them in posted order.
-            c.send_b(1, 3, bytes_of_f64(&[111.0]), 500_000).await;
-            c.send_b(1, 3, bytes_of_f64(&[222.0]), 8).await;
+            c.send_b(1, 3, Payload::from([111.0]), 500_000).await;
+            c.send_b(1, 3, Payload::from([222.0]), 8).await;
         } else {
             let a = c.recv_b(Some(0), Some(3)).await;
             let b = c.recv_b(Some(0), Some(3)).await;
-            assert_eq!(f64_of_bytes(&a.data)[0], 111.0);
-            assert_eq!(f64_of_bytes(&b.data)[0], 222.0);
+            assert_eq!(a.data[0], 111.0);
+            assert_eq!(b.data[0], 222.0);
             assert_eq!(a.bytes, 500_000);
             assert_eq!(b.bytes, 8);
         }
@@ -278,14 +278,14 @@ fn wildcard_source_and_tag() {
                 let mut got = vec![];
                 for _ in 0..2 {
                     let m = c.recv_b(None, None).await;
-                    got.push((m.src, m.tag, f64_of_bytes(&m.data)[0]));
+                    got.push((m.src, m.tag, m.data[0]));
                 }
                 got.sort_by_key(|g| g.0);
                 assert_eq!(got[0], (1, 10, 1.5));
                 assert_eq!(got[1], (2, 20, 2.5));
             }
-            1 => c.send_b(0, 10, bytes_of_f64(&[1.5]), 8).await,
-            2 => c.send_b(0, 20, bytes_of_f64(&[2.5]), 8).await,
+            1 => c.send_b(0, 10, Payload::from([1.5]), 8).await,
+            2 => c.send_b(0, 20, Payload::from([2.5]), 8).await,
             _ => unreachable!(),
         }
     });
@@ -295,16 +295,16 @@ fn wildcard_source_and_tag() {
 fn unexpected_messages_match_later_receive() {
     run_all(2, 1, |c| async move {
         if c.rank() == 0 {
-            c.send_b(1, 1, bytes_of_f64(&[7.0]), 8).await;
-            c.send_b(1, 2, bytes_of_f64(&[8.0]), 8).await;
+            c.send_b(1, 1, Payload::from([7.0]), 8).await;
+            c.send_b(1, 2, Payload::from([8.0]), 8).await;
         } else {
             // Sleep so both messages are unexpected, then receive in
             // the *reverse* tag order.
             c.sim().sleep(Dur::from_ms(1)).await;
             let b = c.recv_b(Some(0), Some(2)).await;
             let a = c.recv_b(Some(0), Some(1)).await;
-            assert_eq!(f64_of_bytes(&b.data)[0], 8.0);
-            assert_eq!(f64_of_bytes(&a.data)[0], 7.0);
+            assert_eq!(b.data[0], 8.0);
+            assert_eq!(a.data[0], 7.0);
         }
     });
 }
@@ -317,9 +317,9 @@ fn sendrecv_exchange_ring() {
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
         let m = c
-            .sendrecv_b(right, 7, bytes_of_f64(&[me as f64]), 8, left, 7)
+            .sendrecv_b(right, 7, Payload::from([me as f64]), 8, left, 7)
             .await;
-        assert_eq!(f64_of_bytes(&m.data)[0], left as f64);
+        assert_eq!(m.data[0], left as f64);
     });
 }
 
@@ -334,13 +334,13 @@ fn intra_node_2ppn_messaging() {
             .sendrecv_b(
                 (me + 1) % n,
                 1,
-                bytes_of_f64(&[me as f64]),
+                Payload::from([me as f64]),
                 1024,
                 (me + n - 1) % n,
                 1,
             )
             .await;
-        assert_eq!(f64_of_bytes(&m.data)[0], ((me + n - 1) % n) as f64);
+        assert_eq!(m.data[0], ((me + n - 1) % n) as f64);
     });
 }
 
@@ -379,12 +379,12 @@ fn allreduce_sum_and_max() {
 fn bcast_from_nonzero_root() {
     run_all(5, 1, |c| async move {
         let payload = if c.rank() == 3 {
-            bytes_of_f64(&[42.0, 43.0])
+            Payload::from([42.0, 43.0])
         } else {
             empty()
         };
         let data = c.bcast_b(3, payload, 16).await;
-        assert_eq!(f64_of_bytes(&data), vec![42.0, 43.0]);
+        assert_eq!(data[..], [42.0, 43.0]);
     });
 }
 
@@ -404,9 +404,9 @@ fn reduce_to_root() {
 fn gather_collects_in_rank_order() {
     run_all(4, 1, |c| async move {
         let me = c.rank();
-        let out = c.gather_b(0, bytes_of_f64(&[me as f64 * 10.0]), 8).await;
+        let out = c.gather_b(0, Payload::from([me as f64 * 10.0]), 8).await;
         if me == 0 {
-            let v: Vec<f64> = out.unwrap().iter().map(|b| f64_of_bytes(b)[0]).collect();
+            let v: Vec<f64> = out.unwrap().iter().map(|b| b[0]).collect();
             assert_eq!(v, vec![0.0, 10.0, 20.0, 30.0]);
         }
     });
@@ -418,11 +418,11 @@ fn alltoall_exchanges_everything() {
         let me = c.rank();
         let n = c.size();
         let payloads: Vec<_> = (0..n)
-            .map(|d| bytes_of_f64(&[(me * 100 + d) as f64]))
+            .map(|d| Payload::from([(me * 100 + d) as f64]))
             .collect();
         let got = c.alltoall_b(payloads, 8).await;
         for (src, b) in got.iter().enumerate() {
-            assert_eq!(f64_of_bytes(b)[0], (src * 100 + me) as f64);
+            assert_eq!(b[0], (src * 100 + me) as f64);
         }
     });
 }
@@ -436,7 +436,7 @@ fn waitall_completes_batch() {
         if Communicator::rank(&c) == 0 {
             let mut reqs = vec![];
             for i in 0..8 {
-                reqs.push(isend(&c, 1, i, bytes_of_f64(&[i as f64]), 8).await);
+                reqs.push(isend(&c, 1, i, Payload::from([i as f64]), 8).await);
             }
             waitall(&c, reqs).await;
         } else {
@@ -446,7 +446,7 @@ fn waitall_completes_batch() {
             }
             let msgs = waitall(&c, reqs).await;
             for (i, m) in msgs.iter().enumerate() {
-                assert_eq!(f64_of_bytes(&m.as_ref().unwrap().data)[0], i as f64);
+                assert_eq!(m.as_ref().unwrap().data[0], i as f64);
             }
         }
     });
@@ -494,9 +494,9 @@ fn world_stats_reflect_traffic() {
             if c.rank() == 0 {
                 // One eager, then the same rendezvous buffer twice:
                 // the first send registers, the second hits the cache.
-                c.send_b(1, 1, bytes_of_f64(&[1.0]), 64).await;
-                c.send_b(1, 2, bytes_of_f64(&[2.0]), 100_000).await;
-                c.send_b(1, 2, bytes_of_f64(&[3.0]), 100_000).await;
+                c.send_b(1, 1, Payload::from([1.0]), 64).await;
+                c.send_b(1, 2, Payload::from([2.0]), 100_000).await;
+                c.send_b(1, 2, Payload::from([3.0]), 100_000).await;
             } else {
                 c.sim().sleep(Dur::from_us(500)).await; // force unexpected
                 for tag in [1, 2, 2] {

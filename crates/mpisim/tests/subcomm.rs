@@ -7,7 +7,7 @@ use std::rc::Rc;
 use elanib_mpi::collectives::{allreduce, barrier, bcast, Op};
 use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
-use elanib_mpi::{bytes_of_f64, f64_of_bytes, recv, send, Communicator, Network, SubComm};
+use elanib_mpi::{recv, send, Communicator, Network, Payload, SubComm};
 use elanib_simcore::Sim;
 
 /// 2x3 grid: split by row and by column; run collectives in both.
@@ -97,11 +97,11 @@ fn point_to_point_within_subgroup_translates_ranks() {
             let sub = SubComm::split(&c, |r| (r >= 2).then_some(0));
             if let Some(s) = sub {
                 if s.rank() == 0 {
-                    send(&s, 1, 5, bytes_of_f64(&[42.0]), 8).await;
+                    send(&s, 1, 5, Payload::from([42.0]), 8).await;
                 } else {
                     let m = recv(&s, Some(0), Some(5)).await;
                     assert_eq!(m.src, 0, "source reported in subgroup ranks");
-                    assert_eq!(f64_of_bytes(&m.data)[0], 42.0);
+                    assert_eq!(m.data[0], 42.0);
                 }
             }
         });
@@ -118,13 +118,13 @@ fn bcast_inside_subgroup() {
         sim.spawn(format!("r{r}"), async move {
             let sub = SubComm::split(&c, |r| Some((r % 2) as u32)).unwrap();
             let root_payload = if sub.rank() == 0 {
-                bytes_of_f64(&[c.rank() as f64])
+                Payload::from([c.rank() as f64])
             } else {
                 elanib_mpi::empty()
             };
             let out = bcast(&sub, 0, root_payload, 8).await;
             // Subgroup rank 0 of group (r%2) is world rank (r%2).
-            assert_eq!(f64_of_bytes(&out)[0], (c.rank() % 2) as f64);
+            assert_eq!(out[0], (c.rank() % 2) as f64);
         });
     }
     sim.run().unwrap();

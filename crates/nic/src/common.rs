@@ -5,15 +5,19 @@ use std::rc::Rc;
 
 use elanib_simcore::{Dur, Sim, SimTime};
 
-/// Application payload. Reference-counted so that "copies" in the
-/// protocol models are free — copy *costs* are charged explicitly
-/// against the memory-bus model, never by cloning bytes.
-pub type Bytes = Rc<Vec<u8>>;
+/// Application payload: the `f64`s a message carries, and nothing
+/// else. Timing never reads it — every model charges the separate
+/// `bytes` argument — so a payload is only ever as large as the
+/// numerics it feeds, and a microbenchmark sends [`no_bytes`] however
+/// many bytes it charges. Reference-counted so that "copies" in the
+/// protocol models are free; copy *costs* are charged explicitly
+/// against the memory-bus model.
+pub type Payload = Rc<[f64]>;
 
 /// Empty payload singleton helper.
-pub fn no_bytes() -> Bytes {
+pub fn no_bytes() -> Payload {
     thread_local! {
-        static EMPTY: Bytes = Rc::new(Vec::new());
+        static EMPTY: Payload = Rc::from([]);
     }
     EMPTY.with(|e| e.clone())
 }
@@ -83,9 +87,9 @@ mod tests {
 
     #[test]
     fn payload_handle_is_cheap_to_clone() {
-        let b: Bytes = Rc::new(vec![1, 2, 3]);
+        let b: Payload = Rc::from([1.0, 2.0, 3.0]);
         let c = b.clone();
         assert_eq!(Rc::strong_count(&b), 2);
-        assert_eq!(c[1], 2);
+        assert_eq!(c[1], 2.0);
     }
 }

@@ -30,7 +30,7 @@ use elanib_fabric::Fabric;
 use elanib_nodesim::Node;
 use elanib_simcore::{Dur, Flag, Sim};
 
-use crate::common::{Bytes, SerialEngine};
+use crate::common::{Payload, SerialEngine};
 use crate::params::ElanParams;
 use crate::transfer::{launch, PairChains, RecoveryPolicy};
 
@@ -71,7 +71,7 @@ pub struct TportArrival {
     pub src_rank: usize,
     pub tag: i64,
     pub bytes: u64,
-    pub data: Bytes,
+    pub data: Payload,
 }
 
 /// Handle the host blocks on for one posted receive.
@@ -103,7 +103,7 @@ enum WireMsg {
     Eager {
         hdr: TportHeader,
         bytes: u64,
-        data: Bytes,
+        data: Payload,
     },
     Rts {
         hdr: TportHeader,
@@ -119,13 +119,13 @@ enum WireMsg {
     RdvData {
         recv_id: u64,
         bytes: u64,
-        data: Bytes,
+        data: Payload,
         hdr: TportHeader,
     },
 }
 
 enum UnexpKind {
-    Eager(Bytes),
+    Eager(Payload),
     Rts { send_id: u64, src_ep: usize },
 }
 
@@ -142,7 +142,7 @@ struct PostedRecv {
 
 struct PendingSend {
     hdr: TportHeader,
-    data: Bytes,
+    data: Payload,
     bytes: u64,
     local_done: Flag,
 }
@@ -244,7 +244,7 @@ impl ElanNet {
         self: &Rc<Self>,
         sim: &Sim,
         hdr: TportHeader,
-        data: Bytes,
+        data: Payload,
         bytes: u64,
     ) -> Flag {
         let src_ep = self.rank_ep[hdr.src_rank];
@@ -657,15 +657,15 @@ mod tests {
         }
     }
 
-    fn payload(n: u8) -> Bytes {
-        Rc::new(vec![n; 8])
+    fn payload(x: f64) -> Payload {
+        Rc::from([x])
     }
 
     #[test]
     fn preposted_eager_recv_completes() {
         let (sim, net) = net(2, 1);
         let h = net.tport_post_recv(&sim, sel(1, Some(0), Some(7)));
-        net.tport_send(&sim, hdr(0, 1, 7), payload(42), 64);
+        net.tport_send(&sim, hdr(0, 1, 7), payload(42.0), 64);
         let (h2, s2) = (h.clone(), sim.clone());
         sim.spawn("rx", async move {
             h2.done.wait().await;
@@ -673,7 +673,7 @@ mod tests {
             assert_eq!(a.src_rank, 0);
             assert_eq!(a.tag, 7);
             assert_eq!(a.bytes, 64);
-            assert_eq!(a.data[0], 42);
+            assert_eq!(a.data[0], 42.0);
             // One-way eager small-message time: a few microseconds.
             assert!(s2.now().as_us_f64() < 5.0, "{}", s2.now());
         });
@@ -685,7 +685,7 @@ mod tests {
         // Timing: recv posted long after arrival must still complete,
         // and the pre-posted path must be at least as fast.
         let (sim, net) = net(2, 1);
-        net.tport_send(&sim, hdr(0, 1, 1), payload(9), 2048);
+        net.tport_send(&sim, hdr(0, 1, 1), payload(9.0), 2048);
         let (n2, s2) = (net.clone(), sim.clone());
         sim.spawn("late-rx", async move {
             s2.sleep(Dur::from_us(50)).await; // message long arrived
@@ -694,7 +694,7 @@ mod tests {
             let before = s2.now();
             h.done.wait().await;
             let a = h.take();
-            assert_eq!(a.data[0], 9);
+            assert_eq!(a.data[0], 9.0);
             // Completion needed NIC dispatch + drain copy, not a wire
             // round trip.
             let took = s2.now().since(before).as_us_f64();
@@ -709,7 +709,7 @@ mod tests {
         let (sim, net) = net(2, 1);
         let bytes = 1_000_000; // > eager_threshold
         let h = net.tport_post_recv(&sim, sel(1, Some(0), Some(3)));
-        let local = net.tport_send(&sim, hdr(0, 1, 3), payload(5), bytes);
+        let local = net.tport_send(&sim, hdr(0, 1, 3), payload(5.0), bytes);
         let (h2, l2, s2) = (h.clone(), local.clone(), sim.clone());
         sim.spawn("rx", async move {
             h2.done.wait().await;
@@ -728,7 +728,7 @@ mod tests {
     fn rendezvous_waits_for_late_receiver() {
         let (sim, net) = net(2, 1);
         let bytes = 500_000;
-        let local = net.tport_send(&sim, hdr(0, 1, 3), payload(5), bytes);
+        let local = net.tport_send(&sim, hdr(0, 1, 3), payload(5.0), bytes);
         let (n2, s2, l2) = (net.clone(), sim.clone(), local.clone());
         sim.spawn("late-rx", async move {
             s2.sleep(Dur::from_ms(2)).await;
@@ -748,7 +748,7 @@ mod tests {
         let (sim, net) = net(2, 1);
         let bytes = 2_000_000;
         let h = net.tport_post_recv(&sim, sel(1, Some(0), None));
-        net.tport_send(&sim, hdr(0, 1, 0), payload(1), bytes);
+        net.tport_send(&sim, hdr(0, 1, 0), payload(1.0), bytes);
         let (s2, h2) = (sim.clone(), h.clone());
         sim.spawn("compute-bound-host", async move {
             // Host busy for 50 ms — far longer than the transfer.
@@ -765,15 +765,15 @@ mod tests {
         // rank2 posts: any-source tag 5, then src0 any-tag.
         let h_any = net.tport_post_recv(&sim, sel(2, None, Some(5)));
         let h_src0 = net.tport_post_recv(&sim, sel(2, Some(0), None));
-        net.tport_send(&sim, hdr(1, 2, 5), payload(11), 32); // matches h_any
-        net.tport_send(&sim, hdr(0, 2, 9), payload(22), 32); // matches h_src0
+        net.tport_send(&sim, hdr(1, 2, 5), payload(11.0), 32); // matches h_any
+        net.tport_send(&sim, hdr(0, 2, 9), payload(22.0), 32); // matches h_src0
         let (a, b, s2) = (h_any.clone(), h_src0.clone(), sim.clone());
         sim.spawn("rx", async move {
             a.done.wait().await;
             b.done.wait().await;
             let _ = s2;
-            assert_eq!(a.take().data[0], 11);
-            assert_eq!(b.take().data[0], 22);
+            assert_eq!(a.take().data[0], 11.0);
+            assert_eq!(b.take().data[0], 22.0);
         });
         sim.run().unwrap();
     }
@@ -783,14 +783,14 @@ mod tests {
         let (sim, net) = net(2, 1);
         let h1 = net.tport_post_recv(&sim, sel(1, Some(0), Some(1)));
         let h2 = net.tport_post_recv(&sim, sel(1, Some(0), Some(1)));
-        net.tport_send(&sim, hdr(0, 1, 1), payload(1), 64);
-        net.tport_send(&sim, hdr(0, 1, 1), payload(2), 64);
+        net.tport_send(&sim, hdr(0, 1, 1), payload(1.0), 64);
+        net.tport_send(&sim, hdr(0, 1, 1), payload(2.0), 64);
         let (a, b) = (h1.clone(), h2.clone());
         sim.spawn("rx", async move {
             a.done.wait().await;
             b.done.wait().await;
-            assert_eq!(a.take().data[0], 1, "first posted gets first sent");
-            assert_eq!(b.take().data[0], 2);
+            assert_eq!(a.take().data[0], 1.0, "first posted gets first sent");
+            assert_eq!(b.take().data[0], 2.0);
         });
         sim.run().unwrap();
     }
@@ -803,11 +803,11 @@ mod tests {
         assert!(!net.same_node(1, 2));
         // rank0 (node0) -> rank3 (node1).
         let h = net.tport_post_recv(&sim, sel(3, Some(0), Some(0)));
-        net.tport_send(&sim, hdr(0, 3, 0), payload(7), 64);
+        net.tport_send(&sim, hdr(0, 3, 0), payload(7.0), 64);
         let a = h.clone();
         sim.spawn("rx", async move {
             a.done.wait().await;
-            assert_eq!(a.take().data[0], 7);
+            assert_eq!(a.take().data[0], 7.0);
         });
         sim.run().unwrap();
     }

@@ -23,7 +23,7 @@ pub mod regcache;
 pub mod roce;
 pub mod transfer;
 
-pub use common::{no_bytes, Bytes, SerialEngine};
+pub use common::{no_bytes, Payload, SerialEngine};
 pub use elan::{ElanNet, ElanPort, TportArrival, TportHeader, TportRecvHandle, TportSel};
 pub use hca::{Hca, HcaPort, IbNet, PostHandle};
 pub use params::{ElanParams, HcaParams};

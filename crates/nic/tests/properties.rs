@@ -166,7 +166,7 @@ mod tports_matching {
             }
             for &(tag, val, bytes) in &sends {
                 let hdr = TportHeader { src_rank: 0, dst_rank: 1, tag, ctx: 0 };
-                net.tport_send(&sim, hdr, Rc::new(vec![val; 4]), bytes);
+                net.tport_send(&sim, hdr, Rc::from([f64::from(val); 4]), bytes);
             }
             sim.run().expect("schedule must complete without deadlock");
             // Every receive completed, and each carries a payload from
@@ -178,7 +178,7 @@ mod tports_matching {
                     prop_assert_eq!(a.tag, *t);
                 }
                 prop_assert!(sends.iter().any(|&(t, v, b)|
-                    t == a.tag && b == a.bytes && a.data.first() == Some(&v)));
+                    t == a.tag && b == a.bytes && a.data.first() == Some(&f64::from(v))));
             }
         }
     }

@@ -98,15 +98,24 @@ fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
+/// Parse an `ELANIB_TRACE_MAX_EVENTS` value: unset is the default
+/// cap, a whole number of events ≥ 0 otherwise.
+fn parse_max_events(v: Option<&str>) -> Result<usize, String> {
+    match v {
+        None => Ok(DEFAULT_MAX_EVENTS),
+        Some(v) => v.parse::<usize>().map_err(|_| {
+            format!("ELANIB_TRACE_MAX_EVENTS={v:?} is not a whole number of events >= 0")
+        }),
+    }
+}
+
 fn env_config() -> &'static TraceConfig {
     static CFG: OnceLock<TraceConfig> = OnceLock::new();
     CFG.get_or_init(|| TraceConfig {
         events: env_flag("ELANIB_TRACE"),
         metrics: env_flag("ELANIB_METRICS"),
-        max_events: std::env::var("ELANIB_TRACE_MAX_EVENTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MAX_EVENTS),
+        max_events: parse_max_events(std::env::var("ELANIB_TRACE_MAX_EVENTS").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}")),
         dir: std::env::var("ELANIB_TRACE_DIR")
             .ok()
             .filter(|d| !d.is_empty())
@@ -490,6 +499,20 @@ pub fn flush(label: &str) -> Option<FlushedFiles> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn max_events_parser_accepts_counts_and_names_bad_values() {
+        assert_eq!(parse_max_events(None), Ok(DEFAULT_MAX_EVENTS));
+        assert_eq!(parse_max_events(Some("0")), Ok(0));
+        assert_eq!(parse_max_events(Some("5000")), Ok(5000));
+        for bad in ["abc", "-1", "1.5", "", " 7"] {
+            let e = parse_max_events(Some(bad)).unwrap_err();
+            assert!(
+                e.starts_with("ELANIB_TRACE_MAX_EVENTS=") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
+    }
 
     #[test]
     fn disabled_config_builds_no_tracer() {

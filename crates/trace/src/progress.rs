@@ -36,12 +36,22 @@ fn env_path() -> Option<&'static PathBuf> {
 fn min_interval() -> Duration {
     static D: OnceLock<Duration> = OnceLock::new();
     *D.get_or_init(|| {
-        let secs = std::env::var("ELANIB_PROGRESS_SECS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(1.0);
-        Duration::from_secs_f64(secs.max(0.0))
+        parse_progress_secs(std::env::var("ELANIB_PROGRESS_SECS").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
     })
+}
+
+/// Parse an `ELANIB_PROGRESS_SECS` value: unset is one second, a
+/// finite number of seconds ≥ 0 that fits a [`Duration`] otherwise.
+fn parse_progress_secs(v: Option<&str>) -> Result<Duration, String> {
+    let Some(v) = v else {
+        return Ok(Duration::from_secs(1));
+    };
+    v.parse::<f64>()
+        .ok()
+        .filter(|s| *s >= 0.0)
+        .and_then(|s| Duration::try_from_secs_f64(s).ok())
+        .ok_or_else(|| format!("ELANIB_PROGRESS_SECS={v:?} is not a finite number of seconds >= 0"))
 }
 
 /// Runtime override used by tests (env vars are cached once per
@@ -128,6 +138,24 @@ mod tests {
         // A failed sibling poisons the lock; the `()` it guards is
         // still valid.
         SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn progress_secs_parser_accepts_finite_seconds_and_names_bad_values() {
+        assert_eq!(parse_progress_secs(None), Ok(Duration::from_secs(1)));
+        assert_eq!(parse_progress_secs(Some("0")), Ok(Duration::ZERO));
+        assert_eq!(
+            parse_progress_secs(Some("0.25")),
+            Ok(Duration::from_millis(250))
+        );
+        assert_eq!(parse_progress_secs(Some("3")), Ok(Duration::from_secs(3)));
+        for bad in ["abc", "-1", "inf", "NaN", "1e300", ""] {
+            let e = parse_progress_secs(Some(bad)).unwrap_err();
+            assert!(
+                e.starts_with("ELANIB_PROGRESS_SECS=") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

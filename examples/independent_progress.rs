@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use elanib::mpi::tports::ElanWorld;
 use elanib::mpi::verbs::IbWorld;
-use elanib::mpi::{bytes_of_f64, irecv, isend, Communicator, Network};
+use elanib::mpi::{irecv, isend, Communicator, Network, Payload};
 use elanib::simcore::{Dur, Sim};
 
 const MSG_BYTES: u64 = 2_000_000;
@@ -35,7 +35,7 @@ fn run(network: Network) -> (f64, f64) {
                 let (rd, tt, s) = (recv_done_ms.clone(), total_ms.clone(), sim.clone());
                 sim.spawn(format!("rank{r}"), async move {
                     if c.rank() == 0 {
-                        let req = isend(&c, 1, 1, bytes_of_f64(&[1.0; 64]), MSG_BYTES).await;
+                        let req = isend(&c, 1, 1, Payload::from([1.0; 64]), MSG_BYTES).await;
                         // Compute phase: NO MPI calls in here.
                         c.compute(Dur::from_ms(COMPUTE_MS), 0.2).await;
                         c.wait(req).await;

@@ -11,7 +11,7 @@
 use elanib::mpi::collectives::{allreduce, barrier, Op};
 use elanib::mpi::tports::ElanWorld;
 use elanib::mpi::verbs::IbWorld;
-use elanib::mpi::{bytes_of_f64, irecv, isend, waitall, Communicator, Network, WorldStats};
+use elanib::mpi::{irecv, isend, waitall, Communicator, Network, Payload, WorldStats};
 use elanib::simcore::{Dur, Sim};
 
 async fn workload<C: Communicator>(c: C) {
@@ -24,7 +24,7 @@ async fn workload<C: Communicator>(c: C) {
         // and the stable tag means stable buffer identity (so the
         // registration cache can do its job after the first step).
         let rr = irecv(&c, Some(left), Some(7)).await;
-        let sr = isend(&c, right, 7, bytes_of_f64(&[me as f64; 16]), 32 * 1024).await;
+        let sr = isend(&c, right, 7, Payload::from([me as f64; 16]), 32 * 1024).await;
         c.compute(Dur::from_us(400), 0.3).await;
         waitall(&c, vec![rr, sr]).await;
         let _ = allreduce(&c, Op::Sum, &[1.0]).await;

@@ -4,7 +4,9 @@
 # Stages, in order:
 #
 #    1. build        release build of the whole workspace
-#    2. test         full test suite
+#    2. test         every workspace test, then the benchmark package's
+#                    own tests (with ELANIB_* cleared), so a workspace
+#                    API change that breaks the benchmark fails here
 #    3. fmt          cargo fmt --check (the tree is kept format-clean)
 #    4. clippy       warnings promoted to errors
 #    5. manifest     results/MANIFEST.sha256 must match the committed
@@ -100,6 +102,12 @@ trap 'rm -rf "$scratch"' EXIT
 # The bench-counts stage's fresh traced benchmark records, which the
 # report stage renders.
 BENCH_COUNTS="$scratch/benchmark_counts.jsonl"
+# `env` arguments that clear every ELANIB_* variable: the benchmark
+# package refuses to run with any of them set.
+CLEAN_ENV=()
+for v in $(compgen -e); do
+    case "$v" in ELANIB_*) CLEAN_ENV+=(-u "$v") ;; esac
+done
 
 # ---------------------------------------------------------------- stages
 
@@ -108,7 +116,9 @@ stage_build() {
 }
 
 stage_test() {
-    cargo test -q
+    cargo test --workspace --release -q \
+        && env "${CLEAN_ENV[@]}" cargo test --offline --release -q \
+            --manifest-path benchmark/Cargo.toml
 }
 
 stage_fmt() {
@@ -226,18 +236,14 @@ stage_bench-counts() {
     # benchmark's own --compare exits 1 when any count differs and 2
     # when the record sets cannot be compared (a threads/nproc other
     # than the 2-CPU host the baseline was recorded on); both fail the
-    # stage. The benchmark refuses to run with any ELANIB_* variable
-    # set, so it runs with them cleared; --seconds 1 keeps each run at
-    # its minimum, which leaves the counts unchanged.
-    local clean=() v w
-    for v in $(compgen -e); do
-        case "$v" in ELANIB_*) clean+=(-u "$v") ;; esac
-    done
-    local cargo_bench=(env "${clean[@]}" cargo run --quiet --offline --release
+    # stage. The benchmark runs with ELANIB_* cleared; --seconds 1
+    # keeps each run at its minimum, which leaves the counts unchanged.
+    local w
+    local cargo_bench=(env "${CLEAN_ENV[@]}" cargo run --quiet --offline --release
         --manifest-path benchmark/Cargo.toml --)
     # Build outside the watchdog: a cold build of the benchmark package
     # takes minutes.
-    env "${clean[@]}" cargo build --quiet --offline --release \
+    env "${CLEAN_ENV[@]}" cargo build --quiet --offline --release \
         --manifest-path benchmark/Cargo.toml \
         || { echo "FAIL: benchmark build" >&2; return 1; }
     : > "$BENCH_COUNTS"
