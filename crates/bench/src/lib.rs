@@ -13,7 +13,6 @@ use std::path::PathBuf;
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
-use elanib_core::simcache::{self, CacheStats};
 use elanib_core::{exhibit, TextTable};
 
 /// Process-start anchor for the first exhibit's wall-time delta.
@@ -22,14 +21,9 @@ use elanib_core::{exhibit, TextTable};
 /// exhibit, never wrong for later ones).
 static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
 
-/// The previous regen mark: when the last exhibit finished and what
-/// the cache counters read at that point. Deltas between consecutive
-/// [`emit`] calls attribute wall time and cache traffic per exhibit.
-struct Mark {
-    at: Instant,
-    cache: CacheStats,
-}
-static LAST_MARK: Mutex<Option<Mark>> = Mutex::new(None);
+/// When the last exhibit finished: the gap between consecutive
+/// [`emit`] calls is each exhibit's wall time.
+static LAST_MARK: Mutex<Option<Instant>> = Mutex::new(None);
 
 /// Called first thing in every exhibit driver's `main`: pins the
 /// wall-clock epoch so the first exhibit's `[regen …]` line
@@ -39,56 +33,12 @@ pub fn regen_begin() {
 }
 
 /// Per-exhibit regeneration record: wall time since the previous
-/// exhibit (or [`regen_begin`]) and the point-cache traffic deltas.
-///
-/// Reported two ways, neither touching stdout (which must stay
-/// byte-stable):
-/// * a stderr `[regen …]` line (`regen_all.sh` surfaces these);
-/// * `cache.hits/misses/stores` counters submitted through the
-///   trace/metrics registry when metrics are enabled, so the deltas
-///   land in the exhibit's `<name>.metrics.{json,csv}` next to the
-///   simulation counters.
+/// exhibit (or [`regen_begin`]), as one stderr `[regen …]` line
+/// (`regen_all.sh` surfaces these) so stdout stays byte-stable.
 fn record_regen(name: &str) {
     let now = Instant::now();
-    let cache_now = simcache::stats();
-    let (wall, delta) = {
-        let mut last = LAST_MARK.lock().unwrap();
-        let (wall, delta) = match last.take() {
-            Some(m) => (now - m.at, cache_now.delta_since(m.cache)),
-            None => (now - *EPOCH, cache_now),
-        };
-        *last = Some(Mark {
-            at: now,
-            cache: cache_now,
-        });
-        (wall, delta)
-    };
-    let mode = match simcache::mode() {
-        simcache::Mode::Off => "off",
-        simcache::Mode::Memo => "memo",
-        simcache::Mode::Disk(_) => "disk",
-    };
-    eprintln!(
-        "[regen {name}: {:.2} s wall, cache {} hits / {} misses / {} corrupt ({:.0}% hit rate, mode {mode})]",
-        wall.as_secs_f64(),
-        delta.hits,
-        delta.misses,
-        delta.corrupt,
-        delta.hit_rate() * 100.0,
-    );
-    if delta.hits + delta.misses > 0 {
-        if let Some(tr) = elanib_simcore::trace::Tracer::from_config(0) {
-            if tr.metrics_on() {
-                tr.set_label(format!("{name}.simcache"));
-                tr.add("cache.hits", delta.hits);
-                tr.add("cache.misses", delta.misses);
-                tr.add("cache.stores", delta.stores);
-                if delta.corrupt > 0 {
-                    tr.add("cache.corrupt", delta.corrupt);
-                }
-            }
-        }
-    }
+    let since = LAST_MARK.lock().unwrap().replace(now).unwrap_or(*EPOCH);
+    eprintln!("[regen {name}: {:.2} s wall]", (now - since).as_secs_f64());
 }
 
 /// Print an exhibit header, render the table, and (optionally) write
@@ -102,10 +52,8 @@ fn record_regen(name: &str) {
 /// `ELANIB_RESULTS_DIR`, then the working directory). Flush notices go
 /// to stderr so stdout stays byte-stable run to run.
 ///
-/// Each call also records a regeneration report for the table: wall
-/// time since the previous `emit` (or `regen_begin`) and the point
-/// cache's hit/miss/store delta over the same window, as one
-/// `[regen <name>: ...]` stderr line.
+/// Each call also reports the table's wall time since the previous
+/// `emit` (or `regen_begin`) as one `[regen <name>: ...]` stderr line.
 pub fn emit(exhibit_id: &str, name: &str, table: &TextTable) {
     if let Some(e) = exhibit(exhibit_id) {
         println!("== {} — {} ==", e.id, e.title);
@@ -310,8 +258,7 @@ fn fault_slowdown(
 ///
 /// The whole `rate × size × network` grid is ONE flattened sweep;
 /// rates enter as indices into a prebuilt plan table so the sweep
-/// items stay integer-valued (`f64` grid values would leak formatting
-/// into the cache keys).
+/// items stay integer-valued.
 pub fn faults_latency_table() -> (TextTable, elanib_core::SweepStats) {
     use elanib_core::f;
     use elanib_fabric::FaultPlan;

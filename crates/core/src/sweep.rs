@@ -247,23 +247,12 @@ where
 {
     let t0 = Instant::now();
     let events = AtomicU64::new(0);
-    let done = AtomicUsize::new(0);
 
     let run_one = |i: usize| -> T {
         let ev0 = elanib_simcore::thread_events();
         let out = f(&items[i]);
         let delta = elanib_simcore::thread_events() - ev0;
         events.fetch_add(delta, Ordering::Relaxed);
-        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        // Live heartbeat for long sweeps (no-op unless ELANIB_PROGRESS
-        // is set; rate-limited inside, fields built lazily).
-        elanib_simcore::trace::progress::beat("sweep", || {
-            format!(
-                "\"done\":{d},\"total\":{},\"events\":{}",
-                items.len(),
-                events.load(Ordering::Relaxed)
-            )
-        });
         out
     };
 

@@ -13,9 +13,7 @@
 //!   [`SimError::ScenarioTimeout`] with the flight-ring tail attached;
 //! * **determinism / observer effect** — re-running the same seed,
 //!   optionally with a tracer or kernel profiler attached, reproduces
-//!   the end time, wire totals, and per-link byte vector exactly; and
-//!   the point cache's encode/decode roundtrip returns the identical
-//!   value;
+//!   the end time, wire totals, and per-link byte vector exactly;
 //! * **monotone degradation** — adding packet loss/corruption to an
 //!   otherwise identical scenario never *materially* shortens
 //!   completion (a calibrated slack absorbs the genuine
@@ -30,7 +28,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::LazyLock;
 
-use elanib_core::simcache;
 use elanib_fabric::FaultPlan;
 use elanib_mpi::collectives::{allreduce, Op};
 use elanib_mpi::{
@@ -268,27 +265,6 @@ fn run_plain(sc: &Scenario, net: Network, faults: &FaultPlan, budget: Dur) -> Ru
 }
 
 // ---------------------------------------------------------------------------
-// Cache roundtrip check
-// ---------------------------------------------------------------------------
-
-/// Newtype so a run fold can live in the point cache — the roundtrip
-/// through encode/decode must return the identical word.
-struct CachedFold(u64);
-
-impl simcache::CacheValue for CachedFold {
-    fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(8);
-        simcache::put_u64(&mut buf, self.0);
-        buf
-    }
-
-    fn decode(mut bytes: &[u8]) -> Option<Self> {
-        let v = simcache::take_u64(&mut bytes)?;
-        bytes.is_empty().then_some(CachedFold(v))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Invariant expectations
 // ---------------------------------------------------------------------------
 
@@ -334,12 +310,6 @@ kind = "invariant"
 name = "determinism-replay-elan"
 series = "fold_elan"
 of = "fold_elan_replay"
-
-[[expect]]
-kind = "invariant"
-name = "cache-roundtrip"
-series = "cache_cold"
-of = "cache_warm"
 "#;
 
 /// The fault-ladder terms: completion time may not *materially*
@@ -538,21 +508,10 @@ pub fn check_scenario(sc: &Scenario, opts: &FuzzOpts) -> ScenarioReport {
         sent_ib += 1;
     }
 
-    // Point-cache roundtrip: cold stores the fold, warm decodes it.
-    let (cache_cold, cache_warm) = if sc.cache {
-        let fold = fold_run(ib);
-        let key = format!("seed{} {:?}", sc.seed, sc);
-        let cold = simcache::get_or_compute("fuzz.scenario", &key, || CachedFold(fold)).0;
-        let warm = simcache::get_or_compute("fuzz.scenario", &key, || CachedFold(fold)).0;
-        (cold, warm)
-    } else {
-        (0, 0)
-    };
-
     let row = format!(
         "seed,sent_ib,recv_ib,sent_elan,recv_elan,wire_ib,linksum_ib,wire_elan,linksum_elan,\
-         fold_ib,fold_ib_replay,fold_elan,fold_elan_replay,cache_cold,cache_warm\n\
-         {},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+         fold_ib,fold_ib_replay,fold_elan,fold_elan_replay\n\
+         {},{},{},{},{},{},{},{},{},{},{},{},{}\n",
         sc.seed,
         sent_ib,
         ib.recvd,
@@ -566,8 +525,6 @@ pub fn check_scenario(sc: &Scenario, opts: &FuzzOpts) -> ScenarioReport {
         fold_run(&ib_replay),
         fold_run(elan),
         fold_run(&elan_replay),
-        cache_cold,
-        cache_warm,
     );
     let table = Table::parse(&row).expect("harness-built CSV parses");
     let label = format!("scenario seed {}", sc.seed);
@@ -674,7 +631,6 @@ mod tests {
             eager_ib: 1024,
             eager_elan: 4096,
             faults: FaultPlan::default(),
-            cache: true,
             trace: true,
             profile: false,
             shards: 1,
@@ -741,10 +697,8 @@ mod tests {
 
     #[test]
     fn blown_budget_reports_a_no_deadlock_violation() {
-        let mut sc = tiny_clean();
-        sc.cache = false;
         let rep = check_scenario(
-            &sc,
+            &tiny_clean(),
             &FuzzOpts {
                 budget: Some(Dur::from_ps(1)),
                 mutate: None,

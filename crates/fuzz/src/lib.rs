@@ -5,8 +5,7 @@
 //! seeded random scenarios across the whole configuration space —
 //! cluster shape, message-size mix, protocol thresholds, fault
 //! schedules, and every knob that must not change results (tracing,
-//! profiling, the point cache) — each
-//! run through **both** simulated stacks with cross-cutting invariants
+//! profiling) — each run through **both** simulated stacks with cross-cutting invariants
 //! checked as first-class validate terms.
 //!
 //! The moving parts:
@@ -17,7 +16,7 @@
 //! * [`harness`] — [`check_scenario`]: runs a scenario on both
 //!   networks and evaluates byte conservation, no-deadlock (typed
 //!   [`elanib_simcore::SimError::ScenarioTimeout`] budgets),
-//!   determinism/observer-effect replays, cache roundtrips, monotone
+//!   determinism/observer-effect replays, monotone
 //!   degradation, and the paper's small-message
 //!   ordering — every one expressed in the validate DSL and evaluated
 //!   with [`elanib_validate::run_on_table`].

@@ -4,8 +4,8 @@
 //! A [`Scenario`] is one point in the configuration space the paper's
 //! claims are supposed to hold over: cluster shape, message-size mix,
 //! protocol thresholds, fault schedule, backend, and every observer
-//! knob that must *not* change results (tracing, profiling, the point
-//! cache). [`Scenario::generate`] is a pure function of its seed — the
+//! knob that must *not* change results (tracing, profiling).
+//! [`Scenario::generate`] is a pure function of its seed — the
 //! same SplitMix64 discipline the fault layer uses — so a failing seed
 //! is a complete bug report on its own.
 //!
@@ -43,8 +43,6 @@ pub struct Scenario {
     /// Deterministic fault schedule (may be effectless — about half of
     /// all seeds run clean, mirroring real usage).
     pub faults: FaultPlan,
-    /// Exercise the point cache's encode/decode roundtrip.
-    pub cache: bool,
     /// Re-run with a structured tracer attached (observer-effect
     /// check).
     pub trace: bool,
@@ -132,7 +130,6 @@ impl Scenario {
             eager_ib,
             eager_elan,
             faults: FaultPlan::sample(mix(seed, 17), links, nodes, fault_horizon()),
-            cache: unit(seed, 18) < 0.5,
             trace: unit(seed, 19) < 0.25,
             profile: unit(seed, 20) < 0.25,
             shards: 1,
@@ -191,9 +188,6 @@ impl Scenario {
             // Native IB is the simpler transport: no CC pacing state.
             push(&|s| s.roce = None);
         }
-        if self.cache {
-            push(&|s| s.cache = false);
-        }
         if self.trace {
             push(&|s| s.trace = false);
         }
@@ -219,7 +213,6 @@ impl Scenario {
             + (plan.loss > 0.0) as u64 * 10
             + (plan.corrupt > 0.0) as u64 * 10
             + self.roce.is_some() as u64
-            + self.cache as u64
             + self.trace as u64
             + self.profile as u64
     }
@@ -243,7 +236,6 @@ impl Scenario {
         let _ = writeln!(s, "msg_sizes = \"{}\"", sizes.join(","));
         let _ = writeln!(s, "eager_ib = {}", self.eager_ib);
         let _ = writeln!(s, "eager_elan = {}", self.eager_elan);
-        let _ = writeln!(s, "cache = {}", self.cache);
         let _ = writeln!(s, "trace = {}", self.trace);
         let _ = writeln!(s, "profile = {}", self.profile);
         if let Some(mode) = self.roce {
@@ -297,7 +289,6 @@ impl Scenario {
             eager_ib: 1024,
             eager_elan: 4096,
             faults: FaultPlan::default(),
-            cache: false,
             trace: false,
             profile: false,
             shards: 1,
@@ -338,7 +329,6 @@ impl Scenario {
                 }
                 "eager_ib" => sc.eager_ib = num(key, val)?,
                 "eager_elan" => sc.eager_elan = num(key, val)?,
-                "cache" => sc.cache = flag(key, val)?,
                 "trace" => sc.trace = flag(key, val)?,
                 "profile" => sc.profile = flag(key, val)?,
                 "roce" => {
@@ -472,7 +462,7 @@ mod tests {
         for i in 0..400 {
             let sc = Scenario::generate(crate::shrink::batch_seed(0, i));
             let fields = format!(
-                "{} {} {} {:?} {} {} {:?} {} {} {} {:?}\n",
+                "{} {} {} {:?} {} {} {:?} {} {} {:?}\n",
                 sc.seed,
                 sc.nodes,
                 sc.ppn,
@@ -480,7 +470,6 @@ mod tests {
                 sc.eager_ib,
                 sc.eager_elan,
                 sc.faults,
-                sc.cache,
                 sc.trace,
                 sc.profile,
                 sc.roce,
@@ -490,7 +479,7 @@ mod tests {
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
         }
-        assert_eq!(h, 2_619_965_300_326_469_078, "seed-0 fuzz batch moved");
+        assert_eq!(h, 1_448_152_294_736_422_522, "seed-0 fuzz batch moved");
     }
 
     #[test]
@@ -506,6 +495,12 @@ mod tests {
         let sc = Scenario::generate(3);
         let (_, m) = Scenario::parse_repro(&sc.to_repro(Some("conservation"))).unwrap();
         assert_eq!(m.as_deref(), Some("conservation"));
+        // Keys of removed fields are rejected, not silently ignored.
+        let stale = format!("{}cache = true\n", sc.to_repro(None));
+        assert_eq!(
+            Scenario::parse_repro(&stale),
+            Err("unknown repro key \"cache\"".to_string())
+        );
     }
 
     #[test]
@@ -534,7 +529,6 @@ mod tests {
             eager_ib: 1024,
             eager_elan: 4096,
             faults: FaultPlan::default(),
-            cache: false,
             trace: false,
             profile: false,
             shards: 1,

@@ -164,7 +164,7 @@ mod tests {
         assert_eq!(min.ppn, 1);
         assert_eq!(min.msg_sizes.len(), 1);
         assert!(min.faults.is_effectless() || min.faults == FaultPlan::default());
-        assert!(!min.cache && !min.trace && !min.profile);
+        assert!(!min.trace && !min.profile);
         // Replay from the serialized repro reproduces the violation
         // byte-for-byte.
         let dir = std::env::temp_dir().join(format!("elanib_fuzz_test_{}", std::process::id()));

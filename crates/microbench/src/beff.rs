@@ -115,47 +115,24 @@ impl RankProgram for Beff {
 
 /// Run b_eff on `nodes` nodes at `ppn` processes per node.
 pub fn beff(network: Network, nodes: usize, ppn: usize, iters: u32) -> BeffPoint {
-    elanib_core::simcache::get_or_compute("mb.beff", &(network, nodes, ppn, iters), || {
-        let out = Rc::new(Cell::new(0.0));
-        elanib_mpi::run_job(
-            JobSpec {
-                network,
-                nodes,
-                ppn,
-                seed: 8,
-            },
-            Beff {
-                iters,
-                out: out.clone(),
-            },
-        );
-        let n_procs = nodes * ppn;
-        BeffPoint {
-            n_procs,
-            beff_mb_s: out.get(),
-            per_process_mb_s: out.get() / n_procs as f64,
-        }
-    })
-}
-
-impl elanib_core::simcache::CacheValue for BeffPoint {
-    fn encode(&self) -> Vec<u8> {
-        use elanib_core::simcache::{put_f64, put_u64};
-        let mut b = Vec::with_capacity(24);
-        put_u64(&mut b, self.n_procs as u64);
-        put_f64(&mut b, self.beff_mb_s);
-        put_f64(&mut b, self.per_process_mb_s);
-        b
-    }
-
-    fn decode(mut bytes: &[u8]) -> Option<Self> {
-        use elanib_core::simcache::{take_f64, take_u64};
-        let p = BeffPoint {
-            n_procs: take_u64(&mut bytes)? as usize,
-            beff_mb_s: take_f64(&mut bytes)?,
-            per_process_mb_s: take_f64(&mut bytes)?,
-        };
-        bytes.is_empty().then_some(p)
+    let out = Rc::new(Cell::new(0.0));
+    elanib_mpi::run_job(
+        JobSpec {
+            network,
+            nodes,
+            ppn,
+            seed: 8,
+        },
+        Beff {
+            iters,
+            out: out.clone(),
+        },
+    );
+    let n_procs = nodes * ppn;
+    BeffPoint {
+        n_procs,
+        beff_mb_s: out.get(),
+        per_process_mb_s: out.get() / n_procs as f64,
     }
 }
 

@@ -47,35 +47,6 @@ pub struct FaultPoint {
     pub failed: bool,
 }
 
-impl elanib_core::simcache::CacheValue for FaultPoint {
-    fn encode(&self) -> Vec<u8> {
-        use elanib_core::simcache::{put_f64, put_u64};
-        let mut b = Vec::with_capacity(56);
-        put_u64(&mut b, self.bytes);
-        put_f64(&mut b, self.latency_us);
-        put_u64(&mut b, self.drops);
-        put_u64(&mut b, self.retries);
-        put_u64(&mut b, self.reroutes);
-        put_u64(&mut b, self.outage_waits);
-        put_u64(&mut b, self.failed as u64);
-        b
-    }
-
-    fn decode(mut bytes: &[u8]) -> Option<Self> {
-        use elanib_core::simcache::{take_f64, take_u64};
-        let p = FaultPoint {
-            bytes: take_u64(&mut bytes)?,
-            latency_us: take_f64(&mut bytes)?,
-            drops: take_u64(&mut bytes)?,
-            retries: take_u64(&mut bytes)?,
-            reroutes: take_u64(&mut bytes)?,
-            outage_waits: take_u64(&mut bytes)?,
-            failed: take_u64(&mut bytes)? != 0,
-        };
-        bytes.is_empty().then_some(p)
-    }
-}
-
 /// Run `program` on a fault-configured cluster; returns the final
 /// simulated time in µs (`None` on panic or deadlock) plus the
 /// fabric's fault counters. The panic path is the *expected* outcome
@@ -183,23 +154,21 @@ pub fn fault_pingpong(
     iters: u32,
     plan: &Arc<FaultPlan>,
 ) -> FaultPoint {
-    elanib_core::simcache::get_or_compute("mb.faultpp", &(network, bytes, iters, &**plan), || {
-        let out = Rc::new(Cell::new(-1.0));
-        let (t, st) = run_faulty(
-            network,
-            2,
-            5,
-            &cfg_with(plan),
-            FaultPingPong {
-                bytes,
-                iters,
-                out_us: out.clone(),
-            },
-        );
-        // The per-exchange mean is the figure of merit; the run's
-        // end time only gates success.
-        point_from(bytes, network, t.map(|_| out.get()), st)
-    })
+    let out = Rc::new(Cell::new(-1.0));
+    let (t, st) = run_faulty(
+        network,
+        2,
+        5,
+        &cfg_with(plan),
+        FaultPingPong {
+            bytes,
+            iters,
+            out_us: out.clone(),
+        },
+    );
+    // The per-exchange mean is the figure of merit; the run's
+    // end time only gates success.
+    point_from(bytes, network, t.map(|_| out.get()), st)
 }
 
 #[derive(Clone)]
@@ -237,27 +206,21 @@ impl RankProgram for FaultStream {
 /// architectures split: Elan's adaptive routing detours around the
 /// downed link, IB's static route stalls on timeout-paced retransmits.
 pub fn outage_stream(network: Network, msgs: u32, bytes: u64, plan: &Arc<FaultPlan>) -> FaultPoint {
-    elanib_core::simcache::get_or_compute(
-        "mb.faultstream",
-        &(network, msgs, bytes, &**plan),
-        || {
-            let nodes = 16;
-            let out = Rc::new(Cell::new(-1.0));
-            let (t, st) = run_faulty(
-                network,
-                nodes,
-                5,
-                &cfg_with(plan),
-                FaultStream {
-                    bytes,
-                    msgs,
-                    last: nodes - 1,
-                    out_us: out.clone(),
-                },
-            );
-            point_from(bytes, network, t.map(|_| out.get()), st)
+    let nodes = 16;
+    let out = Rc::new(Cell::new(-1.0));
+    let (t, st) = run_faulty(
+        network,
+        nodes,
+        5,
+        &cfg_with(plan),
+        FaultStream {
+            bytes,
+            msgs,
+            last: nodes - 1,
+            out_us: out.clone(),
         },
-    )
+    );
+    point_from(bytes, network, t.map(|_| out.get()), st)
 }
 
 #[cfg(test)]
@@ -311,10 +274,8 @@ mod tests {
     #[test]
     fn outage_stream_is_deterministic() {
         let pl = plan("outage=link4@100us+1ms,seed=3");
-        elanib_core::simcache::set_override(Some(elanib_core::simcache::Mode::Off));
         let a = outage_stream(Network::Elan4, 20, 65536, &pl);
         let b = outage_stream(Network::Elan4, 20, 65536, &pl);
-        elanib_core::simcache::set_override(None);
         assert_eq!(a, b);
         assert!(!a.failed);
     }

@@ -71,45 +71,24 @@ impl RankProgram for Incast {
 /// Measure one incast point: `nodes - 1` senders each stream `count`
 /// messages of `bytes` to rank 0 (1 PPN).
 pub fn incast(network: Network, nodes: usize, bytes: u64, count: u32) -> IncastPoint {
-    elanib_core::simcache::get_or_compute("mb.incast", &(network, nodes, bytes, count), || {
-        let out = Rc::new(Cell::new(0.0));
-        elanib_mpi::run_job(
-            JobSpec {
-                network,
-                nodes,
-                ppn: 1,
-                seed: 9,
-            },
-            Incast {
-                bytes,
-                count,
-                out_us: out.clone(),
-            },
-        );
-        let secs = out.get() * 1e-6;
-        IncastPoint {
+    let out = Rc::new(Cell::new(0.0));
+    elanib_mpi::run_job(
+        JobSpec {
+            network,
             nodes,
-            bandwidth_mb_s: (bytes as f64 * count as f64 * (nodes - 1) as f64) / secs / 1e6,
-        }
-    })
-}
-
-impl elanib_core::simcache::CacheValue for IncastPoint {
-    fn encode(&self) -> Vec<u8> {
-        use elanib_core::simcache::{put_f64, put_u64};
-        let mut b = Vec::with_capacity(16);
-        put_u64(&mut b, self.nodes as u64);
-        put_f64(&mut b, self.bandwidth_mb_s);
-        b
-    }
-
-    fn decode(mut bytes: &[u8]) -> Option<Self> {
-        use elanib_core::simcache::{take_f64, take_u64};
-        let p = IncastPoint {
-            nodes: take_u64(&mut bytes)? as usize,
-            bandwidth_mb_s: take_f64(&mut bytes)?,
-        };
-        bytes.is_empty().then_some(p)
+            ppn: 1,
+            seed: 9,
+        },
+        Incast {
+            bytes,
+            count,
+            out_us: out.clone(),
+        },
+    );
+    let secs = out.get() * 1e-6;
+    IncastPoint {
+        nodes,
+        bandwidth_mb_s: (bytes as f64 * count as f64 * (nodes - 1) as f64) / secs / 1e6,
     }
 }
 
@@ -141,22 +120,20 @@ impl RankProgram for SmallAllreduce {
 /// Mean latency of an 8-byte allreduce across `nodes` ranks (1 PPN),
 /// in µs — the collective-latency column of the RoCE study.
 pub fn small_allreduce_us(network: Network, nodes: usize, reps: u32) -> f64 {
-    elanib_core::simcache::get_or_compute("mb.allreduce_us", &(network, nodes, reps), || {
-        let out = Rc::new(Cell::new(0.0));
-        elanib_mpi::run_job(
-            JobSpec {
-                network,
-                nodes,
-                ppn: 1,
-                seed: 9,
-            },
-            SmallAllreduce {
-                reps,
-                out_us: out.clone(),
-            },
-        );
-        out.get()
-    })
+    let out = Rc::new(Cell::new(0.0));
+    elanib_mpi::run_job(
+        JobSpec {
+            network,
+            nodes,
+            ppn: 1,
+            seed: 9,
+        },
+        SmallAllreduce {
+            reps,
+            out_us: out.clone(),
+        },
+    );
+    out.get()
 }
 
 #[cfg(test)]

@@ -60,52 +60,29 @@ impl RankProgram for PingPong {
 
 /// Measure one ping-pong point between two nodes (1 PPN).
 pub fn pingpong(network: Network, bytes: u64, iters: u32) -> PingPongPoint {
-    elanib_core::simcache::get_or_compute("mb.pingpong", &(network, bytes, iters), || {
-        let out = Rc::new(Cell::new(0.0));
-        elanib_mpi::run_job(
-            JobSpec {
-                network,
-                nodes: 2,
-                ppn: 1,
-                seed: 5,
-            },
-            PingPong {
-                bytes,
-                iters,
-                out_us: out.clone(),
-            },
-        );
-        let latency_us = out.get();
-        PingPongPoint {
+    let out = Rc::new(Cell::new(0.0));
+    elanib_mpi::run_job(
+        JobSpec {
+            network,
+            nodes: 2,
+            ppn: 1,
+            seed: 5,
+        },
+        PingPong {
             bytes,
-            latency_us,
-            bandwidth_mb_s: if latency_us > 0.0 {
-                bytes as f64 / (latency_us * 1e-6) / 1e6
-            } else {
-                0.0
-            },
-        }
-    })
-}
-
-impl elanib_core::simcache::CacheValue for PingPongPoint {
-    fn encode(&self) -> Vec<u8> {
-        use elanib_core::simcache::{put_f64, put_u64};
-        let mut b = Vec::with_capacity(24);
-        put_u64(&mut b, self.bytes);
-        put_f64(&mut b, self.latency_us);
-        put_f64(&mut b, self.bandwidth_mb_s);
-        b
-    }
-
-    fn decode(mut bytes: &[u8]) -> Option<Self> {
-        use elanib_core::simcache::{take_f64, take_u64};
-        let p = PingPongPoint {
-            bytes: take_u64(&mut bytes)?,
-            latency_us: take_f64(&mut bytes)?,
-            bandwidth_mb_s: take_f64(&mut bytes)?,
-        };
-        bytes.is_empty().then_some(p)
+            iters,
+            out_us: out.clone(),
+        },
+    );
+    let latency_us = out.get();
+    PingPongPoint {
+        bytes,
+        latency_us,
+        bandwidth_mb_s: if latency_us > 0.0 {
+            bytes as f64 / (latency_us * 1e-6) / 1e6
+        } else {
+            0.0
+        },
     }
 }
 

@@ -85,52 +85,27 @@ impl RankProgram for ReusePingPong {
 /// Measure one re-use point between two nodes (1 PPN).
 pub fn pingpong_reuse(network: Network, bytes: u64, reuse_pct: u32, iters: u32) -> ReusePoint {
     assert!(reuse_pct <= 100);
-    elanib_core::simcache::get_or_compute("mb.reuse", &(network, bytes, reuse_pct, iters), || {
-        let out = Rc::new(Cell::new(0.0));
-        elanib_mpi::run_job(
-            JobSpec {
-                network,
-                nodes: 2,
-                ppn: 1,
-                seed: 13,
-            },
-            ReusePingPong {
-                bytes,
-                reuse_pct,
-                iters,
-                out_us: out.clone(),
-            },
-        );
-        let latency_us = out.get();
-        ReusePoint {
+    let out = Rc::new(Cell::new(0.0));
+    elanib_mpi::run_job(
+        JobSpec {
+            network,
+            nodes: 2,
+            ppn: 1,
+            seed: 13,
+        },
+        ReusePingPong {
             bytes,
             reuse_pct,
-            latency_us,
-            bandwidth_mb_s: bytes as f64 / (latency_us * 1e-6) / 1e6,
-        }
-    })
-}
-
-impl elanib_core::simcache::CacheValue for ReusePoint {
-    fn encode(&self) -> Vec<u8> {
-        use elanib_core::simcache::{put_f64, put_u64};
-        let mut b = Vec::with_capacity(32);
-        put_u64(&mut b, self.bytes);
-        put_u64(&mut b, self.reuse_pct as u64);
-        put_f64(&mut b, self.latency_us);
-        put_f64(&mut b, self.bandwidth_mb_s);
-        b
-    }
-
-    fn decode(mut bytes: &[u8]) -> Option<Self> {
-        use elanib_core::simcache::{take_f64, take_u64};
-        let p = ReusePoint {
-            bytes: take_u64(&mut bytes)?,
-            reuse_pct: take_u64(&mut bytes)? as u32,
-            latency_us: take_f64(&mut bytes)?,
-            bandwidth_mb_s: take_f64(&mut bytes)?,
-        };
-        bytes.is_empty().then_some(p)
+            iters,
+            out_us: out.clone(),
+        },
+    );
+    let latency_us = out.get();
+    ReusePoint {
+        bytes,
+        reuse_pct,
+        latency_us,
+        bandwidth_mb_s: bytes as f64 / (latency_us * 1e-6) / 1e6,
     }
 }
 

@@ -60,48 +60,25 @@ impl RankProgram for Streaming {
 
 /// Measure one streaming point between two nodes (1 PPN).
 pub fn streaming(network: Network, bytes: u64, count: u32) -> StreamingPoint {
-    elanib_core::simcache::get_or_compute("mb.streaming", &(network, bytes, count), || {
-        let out = Rc::new(Cell::new(0.0));
-        elanib_mpi::run_job(
-            JobSpec {
-                network,
-                nodes: 2,
-                ppn: 1,
-                seed: 6,
-            },
-            Streaming {
-                bytes,
-                count,
-                out_us_total: out.clone(),
-            },
-        );
-        let secs = out.get() * 1e-6;
-        StreamingPoint {
+    let out = Rc::new(Cell::new(0.0));
+    elanib_mpi::run_job(
+        JobSpec {
+            network,
+            nodes: 2,
+            ppn: 1,
+            seed: 6,
+        },
+        Streaming {
             bytes,
-            bandwidth_mb_s: (bytes as f64 * count as f64) / secs / 1e6,
-            msgs_per_sec: count as f64 / secs,
-        }
-    })
-}
-
-impl elanib_core::simcache::CacheValue for StreamingPoint {
-    fn encode(&self) -> Vec<u8> {
-        use elanib_core::simcache::{put_f64, put_u64};
-        let mut b = Vec::with_capacity(24);
-        put_u64(&mut b, self.bytes);
-        put_f64(&mut b, self.bandwidth_mb_s);
-        put_f64(&mut b, self.msgs_per_sec);
-        b
-    }
-
-    fn decode(mut bytes: &[u8]) -> Option<Self> {
-        use elanib_core::simcache::{take_f64, take_u64};
-        let p = StreamingPoint {
-            bytes: take_u64(&mut bytes)?,
-            bandwidth_mb_s: take_f64(&mut bytes)?,
-            msgs_per_sec: take_f64(&mut bytes)?,
-        };
-        bytes.is_empty().then_some(p)
+            count,
+            out_us_total: out.clone(),
+        },
+    );
+    let secs = out.get() * 1e-6;
+    StreamingPoint {
+        bytes,
+        bandwidth_mb_s: (bytes as f64 * count as f64) / secs / 1e6,
+        msgs_per_sec: count as f64 / secs,
     }
 }
 

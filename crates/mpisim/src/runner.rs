@@ -198,10 +198,7 @@ pub fn run_scenario<P: RankProgram>(
 /// name (`hca`/`ib`, `elan`, `roce`, `roce-pfc`, `roce-dcqcn`,
 /// `roce-hybrid`) regardless of what the harness asked for. This is
 /// the CI backend-matrix hook: the same exhibit binary re-runs under
-/// each backend without recompilation. **Pair it with
-/// `ELANIB_CACHE=off`** — the scenario cache keys on the *requested*
-/// network, so cached entries written under an override would poison
-/// later unoverridden runs.
+/// each backend without recompilation.
 fn backend_override(spec: JobSpec) -> JobSpec {
     apply_backend(spec, std::env::var("ELANIB_BACKEND").ok().as_deref())
 }

@@ -365,9 +365,8 @@ fn json_escape(s: &str) -> String {
 /// Full profile JSON for one flush window (label + totals).
 fn profile_json(label: &str, t: &ProfTotals) -> String {
     let mut s = format!(
-        "{{\n  \"exhibit\": \"{}\",\n  \"schema\": 3,\n  \"git_rev\": \"{}\",\n  \"sims\": {},\n  \"events\": {},\n",
+        "{{\n  \"exhibit\": \"{}\",\n  \"schema\": 3,\n  \"sims\": {},\n  \"events\": {},\n",
         json_escape(label),
-        json_escape(elanib_trace::git_rev()),
         t.sims,
         t.events(),
     );

@@ -49,18 +49,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 pub mod chrome;
-pub mod jsonl;
 pub mod metrics;
-pub mod progress;
 
 pub use metrics::{Gauge, Hist, MetricsSummary};
-
-/// Git revision the binary was built from: the `ELANIB_GIT_REV`
-/// build-time environment variable (stamped by `scripts/ci.sh`), empty
-/// when it wasn't set — record consumers treat "" as unknown.
-pub fn git_rev() -> &'static str {
-    option_env!("ELANIB_GIT_REV").unwrap_or("")
-}
 
 /// What tracing work a new simulation should do.
 #[derive(Clone, Debug, Default)]

@@ -13,37 +13,36 @@
 #                    CSVs exactly (stale or hand-edited exhibits fail
 #                    fast, before any simulation runs)
 #    6. regen        exhibit-determinism smoke (regen_all.sh --smoke)
-#    7. cache        point-cache consistency smoke (cold vs warm fig2)
-#    8. backend-matrix
+#    7. backend-matrix
 #                    one-network-per-run gate: the fig2 smoke exhibit
 #                    reruns under every Network registry name via
 #                    ELANIB_BACKEND (hca, elan, roce-pfc, roce-dcqcn,
-#                    roce-hybrid; cache off so every run is live). The
-#                    two paper networks must reproduce their
-#                    committed fig2 columns byte for byte even when
-#                    routed through the override machinery; the three
-#                    RoCE modes must complete cleanly. Per-backend wall
-#                    times land in ci_summary.json
-#    9. conformance  paper-shape validation: expectations/*.toml vs the
+#                    roce-hybrid). The two paper networks must
+#                    reproduce their committed fig2 columns byte for
+#                    byte even when routed through the override
+#                    machinery; the three RoCE modes must complete
+#                    cleanly. Per-backend wall times land in
+#                    ci_summary.json
+#    8. conformance  paper-shape validation: expectations/*.toml vs the
 #                    committed results/ and exhibit coverage
-#   10. bench-counts deterministic per-layer count gate: one traced run
+#    9. bench-counts deterministic per-layer count gate: one traced run
 #                    of the repository benchmark (BENCHMARK.json's
 #                    command) per workload at seed 0, compared by the
 #                    benchmark's own --compare with the committed
 #                    scripts/benchmark_counts.jsonl; any differing
 #                    event, wake, task, MPI, NIC or fabric count fails
-#   11. report       perf dashboard: elanib-report renders stage 10's
+#   10. report       perf dashboard: elanib-report renders stage 9's
 #                    benchmark records and the conformance verdict into
 #                    perf_report.md / perf_report.json (renders only)
-#   12. perf-gate    kernelbench alone: it fails the stage when its
+#   11. perf-gate    kernelbench alone: it fails the stage when its
 #                    calls/pingpong/model scenarios allocate more per
 #                    event than their deterministic budgets, or when any
 #                    scenario runs more than 2x below its best events/s
 #                    on record
-#   13. faults       fault-matrix smoke (loss + outage plans terminate)
-#   14. zero-fault   a rate-zero fault plan regenerates every CSV
+#   12. faults       fault-matrix smoke (loss + outage plans terminate)
+#   13. zero-fault   a rate-zero fault plan regenerates every CSV
 #                    byte-identically (full regen_all.sh)
-#   15. fuzz         time-boxed property fuzz: seeded random scenarios
+#   14. fuzz         time-boxed property fuzz: seeded random scenarios
 #                    through both stacks with every cross-cutting
 #                    invariant checked (elanib-fuzz); a violation
 #                    fails the stage and prints the shrunk repro path
@@ -63,7 +62,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="build test fmt clippy manifest regen cache backend-matrix conformance bench-counts report perf-gate faults zero-fault fuzz"
+STAGES="build test fmt clippy manifest regen backend-matrix conformance bench-counts report perf-gate faults zero-fault fuzz"
 QUICK_STAGES="build test clippy"
 
 MODE="full"
@@ -159,28 +158,10 @@ stage_regen() {
     scripts/regen_all.sh --smoke
 }
 
-stage_cache() {
-    mkdir -p "$scratch/cold" "$scratch/warm"
-    ELANIB_RESULTS_DIR="$scratch/cold" ELANIB_CACHE_DIR="$scratch/cache" \
-        timeout "$wd" ./target/release/fig2 > /dev/null 2> "$scratch/cold.log"
-    ELANIB_RESULTS_DIR="$scratch/warm" ELANIB_CACHE_DIR="$scratch/cache" \
-        timeout "$wd" ./target/release/fig2 > /dev/null 2> "$scratch/warm.log"
-    grep -q "cache 0 hits" "$scratch/cold.log" \
-        || { echo "FAIL: cold run unexpectedly hit the cache" >&2; cat "$scratch/cold.log" >&2; return 1; }
-    grep -q "100% hit rate" "$scratch/warm.log" \
-        || { echo "FAIL: warm run did not hit the cache" >&2; cat "$scratch/warm.log" >&2; return 1; }
-    cmp "$scratch/cold/fig2_ljs.csv" "$scratch/warm/fig2_ljs.csv" \
-        || { echo "FAIL: warm-cache fig2 CSV differs from cold" >&2; return 1; }
-    cmp "$scratch/cold/fig2_ljs.csv" results/fig2_ljs.csv \
-        || { echo "FAIL: cached fig2 CSV differs from committed results/" >&2; return 1; }
-    echo "cache smoke OK: warm run fully cache-answered, CSVs byte-identical"
-}
-
 stage_backend-matrix() {
     # One fig2 smoke run per Network registry name, forced through the
-    # ELANIB_BACKEND override (always paired with ELANIB_CACHE=off: an
-    # overridden run must never populate or read the point cache, whose
-    # keys name the *requested* network). fig2's CSV carries IB columns
+    # ELANIB_BACKEND override. Every run simulates from scratch, so an
+    # overridden run leaves no state behind. fig2's CSV carries IB columns
     # (2,3,6,7) and Elan columns (4,5,8,9); forcing hca must reproduce
     # the committed IB columns byte for byte, forcing elan the Elan
     # columns — the proof that the override plumbing is observationally
@@ -195,7 +176,7 @@ stage_backend-matrix() {
         mkdir -p "$scratch/bm-$b"
         t0=$(date +%s%N)
         rc=0
-        ELANIB_RESULTS_DIR="$scratch/bm-$b" ELANIB_BACKEND="$b" ELANIB_CACHE=off \
+        ELANIB_RESULTS_DIR="$scratch/bm-$b" ELANIB_BACKEND="$b" \
             timeout "$wd" ./target/release/fig2 > /dev/null 2> "$scratch/bm-$b.log" || rc=$?
         t1=$(date +%s%N)
         if [ "$rc" -ne 0 ]; then
@@ -302,8 +283,8 @@ stage_zero-fault() {
 stage_fuzz() {
     # Property fuzz over seeded random scenarios: both stacks, every
     # cross-cutting invariant (byte conservation, no-deadlock budget,
-    # determinism/observer-effect replays, cache roundtrips, monotone
-    # degradation, paper ordering). Fixed base seed keeps the stage
+    # determinism/observer-effect replays, monotone degradation, paper
+    # ordering). Fixed base seed keeps the stage
     # reproducible; the wall budget keeps it time-boxed. On violation the binary shrinks the scenario and
     # prints a fuzz_failures/<seed>.toml replay path — attach that to
     # the bug report.

@@ -12,10 +12,6 @@
 # Environment:
 #   ELANIB_SWEEP_THREADS  sweep-engine pool width (default: all cores;
 #                         results are identical at any setting)
-#   ELANIB_CACHE_DIR      persistent point-cache directory: a warm rerun
-#                         skips already-simulated sweep points entirely;
-#                         the CSV diff must still pass warm or cold
-#   ELANIB_CACHE=off      disable the point cache (memo tier included)
 #   ELANIB_TRACE / ELANIB_METRICS  also emit Chrome traces / metrics
 #                         summaries per exhibit (see EXPERIMENTS.md);
 #                         the CSV diff must still pass with these set
@@ -42,7 +38,7 @@ out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 # Each exhibit binary reports one "[regen <exhibit>: …]" stderr line per
-# emitted table — wall time plus point-cache hit rate — on top of the
+# emitted table — its wall time — on top of the
 # shell-level per-binary wall time printed here.
 total_start=$(date +%s%N)
 for b in $BINS; do
