@@ -16,13 +16,15 @@
 //!   testing; `conservation` is the one defined today) to prove the
 //!   invariants still catch bugs.
 //!
-//! Environment: `ELANIB_FUZZ_SEED` and `ELANIB_FUZZ_SCENARIOS` default
-//! the batch parameters (flags win); `ELANIB_FUZZ_BUDGET_SECS` caps
-//! the batch's *wall-clock* time — the run stops launching new chunks
-//! once the budget is spent, so a CI stage is time-boxed without
-//! killing the process mid-scenario. Per-run *simulated* time is
-//! bounded separately by the in-kernel watchdog (a blown budget is a
-//! typed `ScenarioTimeout`, reported as a no-deadlock violation).
+//! The batch defaults to 100 scenarios from base seed 42.
+//! `ELANIB_FUZZ_BUDGET_SECS` (whole seconds) caps the batch's
+//! *wall-clock* time — the run stops launching new chunks once the
+//! budget is spent, so a CI stage is time-boxed without killing the
+//! process mid-scenario. Per-run *simulated* time is bounded
+//! separately by the harness's 1 s watchdog (a blown budget is a typed
+//! `ScenarioTimeout`, reported as a no-deadlock violation). Every
+//! `ELANIB_*` variable is checked before anything runs; bad input
+//! exits 2.
 //! Reports a `[sweep fuzz: …]` stderr line per chunk, like every other
 //! exhibit binary.
 
@@ -30,10 +32,6 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use elanib_fuzz::{check_scenario, fuzz_batch, write_repro, FuzzOpts, Mutation, Scenario};
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.parse().ok()
-}
 
 struct Args {
     scenarios: usize,
@@ -44,8 +42,8 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        scenarios: env_u64("ELANIB_FUZZ_SCENARIOS").unwrap_or(100) as usize,
-        seed: env_u64("ELANIB_FUZZ_SEED").unwrap_or(42),
+        scenarios: 100,
+        seed: 42,
         replay: None,
         mutate: None,
     };
@@ -105,10 +103,7 @@ fn replay(path: &Path, cli_mutate: Option<Mutation>) -> i32 {
         },
         (None, None) => None,
     };
-    let opts = FuzzOpts {
-        budget: None,
-        mutate,
-    };
+    let opts = FuzzOpts { mutate };
     println!("replaying {} (seed {})", path.display(), sc.seed);
     let rep = check_scenario(&sc, &opts);
     if let Some(why) = &rep.skipped {
@@ -127,6 +122,7 @@ fn replay(path: &Path, cli_mutate: Option<Mutation>) -> i32 {
 }
 
 fn main() {
+    elanib_bench::check_env();
     // The harness *expects* to catch IB's specified bounded-retry
     // panic (QP-ERR under heavy loss) and classify it as a skip;
     // don't let the default hook spray a backtrace into the log for
@@ -155,10 +151,13 @@ fn main() {
     }
 
     let opts = FuzzOpts {
-        budget: None,
         mutate: args.mutate,
     };
-    let wall_budget = env_u64("ELANIB_FUZZ_BUDGET_SECS").map(Duration::from_secs);
+    let budget_secs = std::env::var("ELANIB_FUZZ_BUDGET_SECS").ok();
+    let wall_budget =
+        elanib_bench::knobs::parse_secs("ELANIB_FUZZ_BUDGET_SECS", budget_secs.as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+            .map(Duration::from_secs);
     let started = Instant::now();
     // Chunked batches so the wall-clock budget is honoured at a
     // scenario-chunk boundary instead of killing mid-run.

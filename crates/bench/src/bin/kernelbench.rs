@@ -15,11 +15,6 @@
 //! [`EPS_GATE_RATIO`] times fewer events per second than its best on
 //! record (`BEST_EVENTS_PER_SEC_*`), which catches a dispatch-path
 //! slowdown even when every CSV is still byte-identical.
-//!
-//! Diagnostics: set `ALLOCPROBE_BT=<size>` to print a sampled
-//! backtrace of every 20000th allocation of exactly `<size>` bytes —
-//! the tool that located the hot allocation sites this kernel no
-//! longer has.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,12 +25,6 @@ use elanib_simcore::{Dur, Sim};
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static EXACT: [AtomicU64; 512] = [const { AtomicU64::new(0) }; 512];
-static PROBE_SIZE: AtomicU64 = AtomicU64::new(0);
-static PROBE_N: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static IN_BT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
 
 struct Counting;
 
@@ -44,21 +33,6 @@ unsafe impl GlobalAlloc for Counting {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         EXACT[layout.size().min(511)].fetch_add(1, Ordering::Relaxed);
-        // Optional: sample backtraces of allocations of one exact size
-        // (ALLOCPROBE_BT=<size>), every 20000th hit.
-        if layout.size() as u64 == PROBE_SIZE.load(Ordering::Relaxed)
-            && PROBE_N
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(20000)
-            && IN_BT.with(|g| !g.replace(true))
-        {
-            eprintln!(
-                "--- {} B alloc ---\n{}",
-                layout.size(),
-                std::backtrace::Backtrace::force_capture()
-            );
-            IN_BT.with(|g| g.set(false));
-        }
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -204,9 +178,7 @@ fn pingpong(sim: &Sim) {
 }
 
 fn main() {
-    if let Ok(s) = std::env::var("ALLOCPROBE_BT") {
-        PROBE_SIZE.store(s.parse().unwrap_or(0), Ordering::Relaxed);
-    }
+    elanib_bench::check_env();
     let timers = measure("timers", || run(timers));
     let calls = measure("calls", || run(calls));
     let pingpong = measure("pingpong", || run(pingpong));

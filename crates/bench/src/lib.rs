@@ -6,14 +6,17 @@
 //! each table as CSV for plotting.
 
 pub mod conformance;
+pub mod knobs;
 pub mod perf_report;
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
 use elanib_core::{exhibit, TextTable};
+
+pub use knobs::check_env;
 
 /// Process-start anchor for the first exhibit's wall-time delta.
 /// Forced by [`regen_begin`]; falls back to first-[`emit`] time if a
@@ -25,10 +28,12 @@ static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
 /// [`emit`] calls is each exhibit's wall time.
 static LAST_MARK: Mutex<Option<Instant>> = Mutex::new(None);
 
-/// Called first thing in every exhibit driver's `main`: pins the
-/// wall-clock epoch so the first exhibit's `[regen …]` line
-/// covers its simulation time, not just the `emit` call.
+/// Called first thing in every exhibit driver's `main`: refuses bad
+/// `ELANIB_*` input ([`check_env`]) and pins the wall-clock epoch so
+/// the first exhibit's `[regen …]` line covers its simulation time,
+/// not just the `emit` call.
 pub fn regen_begin() {
+    check_env();
     let _ = *EPOCH;
 }
 
@@ -44,13 +49,13 @@ fn record_regen(name: &str) {
 /// Print an exhibit header, render the table, and (optionally) write
 /// CSV into `$ELANIB_RESULTS_DIR/<name>.csv`.
 ///
-/// When tracing or metrics are enabled (`ELANIB_TRACE` /
-/// `ELANIB_METRICS`), this is also the sink point: every simulation
-/// that finished since the previous `emit` is flushed to
-/// `<name>.trace.json` / `<name>.metrics.{json,csv}` in the trace
-/// output directory (`ELANIB_TRACE_DIR`, falling back to
-/// `ELANIB_RESULTS_DIR`, then the working directory). Flush notices go
-/// to stderr so stdout stays byte-stable run to run.
+/// When tracing, metrics or profiling are enabled (`ELANIB_TRACE` /
+/// `ELANIB_METRICS` / `ELANIB_PROFILE`), this is also the sink point:
+/// every simulation that finished since the previous `emit` is flushed
+/// to `<name>.trace.json` / `<name>.metrics.{json,csv}` /
+/// `<name>.profile.json` in `ELANIB_RESULTS_DIR`, else the working
+/// directory. Flush notices go to stderr so stdout stays byte-stable
+/// run to run.
 ///
 /// Each call also reports the table's wall time since the previous
 /// `emit` (or `regen_begin`) as one `[regen <name>: ...]` stderr line.
@@ -64,10 +69,10 @@ pub fn emit(exhibit_id: &str, name: &str, table: &TextTable) {
     }
     println!();
     println!("{}", table.render());
-    if let Ok(dir) = std::env::var("ELANIB_RESULTS_DIR") {
-        let mut p = PathBuf::from(dir);
-        let _ = fs::create_dir_all(&p);
-        p.push(format!("{name}.csv"));
+    let dir = knobs::results_dir();
+    if let Some(dir) = &dir {
+        let _ = fs::create_dir_all(dir);
+        let p = dir.join(format!("{name}.csv"));
         if let Err(e) = fs::write(&p, table.to_csv()) {
             eprintln!("warning: could not write {}: {e}", p.display());
         } else {
@@ -75,7 +80,8 @@ pub fn emit(exhibit_id: &str, name: &str, table: &TextTable) {
         }
     }
     record_regen(name);
-    if let Some(files) = elanib_simcore::trace::flush(name) {
+    let dir = dir.as_deref().unwrap_or(Path::new("."));
+    if let Some(files) = elanib_simcore::trace::flush(name, dir) {
         if let Some(p) = &files.trace_json {
             eprintln!("[trace written to {}]", p.display());
         }
@@ -83,7 +89,7 @@ pub fn emit(exhibit_id: &str, name: &str, table: &TextTable) {
             eprintln!("[metrics written to {}]", p.display());
         }
     }
-    if let Some(files) = elanib_simcore::profile::flush(name) {
+    if let Some(files) = elanib_simcore::profile::flush(name, dir) {
         if let Some(p) = &files.profile_json {
             eprintln!("[profile written to {}]", p.display());
         }

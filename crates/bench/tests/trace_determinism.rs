@@ -163,12 +163,9 @@ fn fig2_csv_identical_traced_vs_untraced_and_sinks_are_loadable() {
     // Phase 2: both sinks forced ON, flushing into a scratch dir.
     let dir = std::env::temp_dir().join("elanib-trace-determinism-test");
     let _ = std::fs::remove_dir_all(&dir);
-    trace::set_override(Some(TraceConfig {
-        dir: Some(dir.clone()),
-        ..TraceConfig::all()
-    }));
+    trace::set_override(Some(TraceConfig::all()));
     let (traced, _) = md_figure_table(problem, &nodes);
-    let files = trace::flush("fig2_traced").expect("traced run must collect traces");
+    let files = trace::flush("fig2_traced", &dir).expect("traced run must collect traces");
     trace::set_override(None);
 
     assert_eq!(

@@ -155,7 +155,7 @@ pub fn sweep_threads(n_items: usize) -> usize {
 
 /// Parse an `ELANIB_SWEEP_THREADS` value: unset is `None` (use every
 /// core), a whole number of threads ≥ 1 otherwise.
-fn parse_sweep_threads(v: Option<&str>) -> Result<Option<usize>, String> {
+pub fn parse_sweep_threads(v: Option<&str>) -> Result<Option<usize>, String> {
     match v {
         None => Ok(None),
         Some(v) => match v.parse::<usize>() {

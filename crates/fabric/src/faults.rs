@@ -202,8 +202,8 @@ impl FaultPlan {
     /// Parse a fault spec. Two forms:
     ///
     /// * `@/path/to/plan` — load the file at that path and parse its
-    ///   contents (JSON if the first non-space byte is `{`, otherwise
-    ///   the directive grammar below; `#` starts a line comment).
+    ///   contents with the directive grammar below (`#` starts a line
+    ///   comment).
     /// * a comma/newline-separated directive list:
     ///
     /// ```text
@@ -228,9 +228,6 @@ impl FaultPlan {
     }
 
     fn parse_text(text: &str) -> Result<FaultPlan, String> {
-        if text.trim_start().starts_with('{') {
-            return Self::from_json(text);
-        }
         let mut plan = FaultPlan::default();
         for raw in text.split(['\n', ',']) {
             let line = match raw.find('#') {
@@ -279,67 +276,6 @@ impl FaultPlan {
                     plan.stalls.push(NicStall { ep, start, dur });
                 }
                 _ => return Err(format!("unknown fault directive {key:?}")),
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Parse the JSON form:
-    ///
-    /// ```text
-    /// {"seed": 7, "loss": 1e-3, "corrupt": 0,
-    ///  "outages":  [{"link": 3, "start_us": 500, "dur_us": 200}],
-    ///  "degrades": [{"link": 2, "start_us": 1000, "dur_us": 2000, "factor": 0.5}],
-    ///  "stalls":   [{"ep": 1, "start_us": 300, "dur_us": 50}]}
-    /// ```
-    fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("fault plan JSON must be an object")?;
-        let mut plan = FaultPlan::default();
-        for (key, val) in obj {
-            match key.as_str() {
-                "seed" => {
-                    plan.seed = val.as_f64().ok_or("seed must be a number")? as u64;
-                }
-                "loss" => {
-                    plan.loss = val.as_f64().ok_or("loss must be a number")?;
-                    parse_prob("loss", &plan.loss.to_string())?;
-                }
-                "corrupt" => {
-                    plan.corrupt = val.as_f64().ok_or("corrupt must be a number")?;
-                    parse_prob("corrupt", &plan.corrupt.to_string())?;
-                }
-                "outages" => {
-                    for o in val.as_arr().ok_or("outages must be an array")? {
-                        let (link, start, dur) = json_window(o, "link")?;
-                        plan.outages.push(Outage { link, start, dur });
-                    }
-                }
-                "degrades" => {
-                    for o in val.as_arr().ok_or("degrades must be an array")? {
-                        let (link, start, dur) = json_window(o, "link")?;
-                        let factor = o
-                            .get("factor")
-                            .and_then(|f| f.as_f64())
-                            .ok_or("degrade entry needs a numeric \"factor\"")?;
-                        if !(factor > 0.0 && factor <= 1.0) {
-                            return Err(format!("degrade factor must be in (0, 1], got {factor}"));
-                        }
-                        plan.degrades.push(Degrade {
-                            link,
-                            start,
-                            dur,
-                            factor,
-                        });
-                    }
-                }
-                "stalls" => {
-                    for o in val.as_arr().ok_or("stalls must be an array")? {
-                        let (ep, start, dur) = json_window(o, "ep")?;
-                        plan.stalls.push(NicStall { ep, start, dur });
-                    }
-                }
-                other => return Err(format!("unknown fault plan key {other:?}")),
             }
         }
         Ok(plan)
@@ -398,44 +334,29 @@ fn parse_dur(s: &str) -> Result<Dur, String> {
     Ok(Dur((v * scale_ps).round() as u64))
 }
 
-fn json_window(o: &json::Value, idx_key: &str) -> Result<(usize, Dur, Dur), String> {
-    let obj_err = || format!("entry must be an object with {idx_key:?}/start_us/dur_us");
-    let idx = o
-        .get(idx_key)
-        .and_then(|v| v.as_f64())
-        .ok_or_else(obj_err)? as usize;
-    let start = o
-        .get("start_us")
-        .and_then(|v| v.as_f64())
-        .ok_or_else(obj_err)?;
-    let dur = o
-        .get("dur_us")
-        .and_then(|v| v.as_f64())
-        .ok_or_else(obj_err)?;
-    if start < 0.0 || dur < 0.0 {
-        return Err("start_us/dur_us must be non-negative".into());
+/// Parse an `ELANIB_FAULTS` value: unset, blank and effectless plans
+/// are no plan; a spec that does not parse is an error naming the
+/// variable and the value.
+pub fn parse_env_plan(v: Option<&str>) -> Result<Option<Arc<FaultPlan>>, String> {
+    match v {
+        None => Ok(None),
+        Some(spec) if spec.trim().is_empty() => Ok(None),
+        Some(spec) => match FaultPlan::parse(spec) {
+            Ok(p) if p.is_effectless() => Ok(None),
+            Ok(p) => Ok(Some(Arc::new(p))),
+            Err(e) => Err(format!("ELANIB_FAULTS={spec:?} is not a fault plan: {e}")),
+        },
     }
-    Ok((idx, Dur::from_us_f64(start), Dur::from_us_f64(dur)))
 }
 
-/// The process-wide plan from `ELANIB_FAULTS`, if one is set, parses,
-/// and is not effectless. A malformed spec is reported once on stderr
-/// and ignored (fail-open: exhibits keep producing their baseline
-/// numbers rather than aborting mid-regeneration).
+/// The process-wide plan from `ELANIB_FAULTS`, if one is set and is
+/// not effectless. A malformed spec panics with the message of
+/// [`parse_env_plan`]; the binaries check it before any simulation
+/// starts, so only a library caller reaches that.
 pub fn env_plan() -> Option<Arc<FaultPlan>> {
     static PLAN: LazyLock<Option<Arc<FaultPlan>>> = LazyLock::new(|| {
-        let spec = std::env::var("ELANIB_FAULTS").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(&spec) {
-            Ok(p) if p.is_effectless() => None,
-            Ok(p) => Some(Arc::new(p)),
-            Err(e) => {
-                eprintln!("warning: ignoring ELANIB_FAULTS: {e}");
-                None
-            }
-        }
+        parse_env_plan(std::env::var("ELANIB_FAULTS").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
     });
     PLAN.clone()
 }
@@ -636,187 +557,6 @@ fn unit_draw(seed: u64, chan: u64, n: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Minimal JSON reader for fault-plan files — numbers, strings, bools,
-/// null, arrays, objects. Kept here (not a dependency) because the
-/// container vendors no serde and the plan schema is tiny.
-mod json {
-    pub enum Value {
-        Num(f64),
-        // Strings/bools/null are parsed for grammar completeness; the
-        // plan schema itself only consumes numbers, arrays, objects.
-        #[allow(dead_code)]
-        Str(String),
-        #[allow(dead_code)]
-        Bool(bool),
-        Null,
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            self.as_obj()?
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing bytes at offset {pos} in fault plan JSON"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at offset {} in fault plan JSON",
-                c as char, *pos
-            ))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut obj = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(obj));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let k = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    obj.push((k, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(obj));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    arr.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(arr));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => {
-                let start = *pos;
-                while *pos < b.len()
-                    && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                {
-                    *pos += 1;
-                }
-                let s = std::str::from_utf8(&b[start..*pos]).unwrap();
-                s.parse()
-                    .map(Value::Num)
-                    .map_err(|e| format!("bad JSON number {s:?}: {e}"))
-            }
-            None => Err("unexpected end of fault plan JSON".into()),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at offset {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = b.get(*pos).ok_or("unterminated escape")?;
-                    *pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => return Err(format!("unsupported escape \\{}", *other as char)),
-                    });
-                }
-                _ => out.push(c as char),
-            }
-        }
-        Err("unterminated string in fault plan JSON".into())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,30 +611,11 @@ mod tests {
     }
 
     #[test]
-    fn json_form_parses() {
-        let p = FaultPlan::parse(
-            r#"{"seed": 7, "loss": 0.001,
-                "outages":  [{"link": 3, "start_us": 500, "dur_us": 200}],
-                "degrades": [{"link": 2, "start_us": 1000, "dur_us": 2000, "factor": 0.5}],
-                "stalls":   [{"ep": 1, "start_us": 300, "dur_us": 50}]}"#,
-        )
-        .unwrap();
-        assert_eq!(p.seed, 7);
-        assert_eq!(p.loss, 0.001);
-        assert_eq!(p.outages[0].link, 3);
-        assert_eq!(p.outages[0].start, Dur::from_us(500));
-        assert_eq!(p.degrades[0].factor, 0.5);
-        assert_eq!(p.stalls[0].ep, 1);
-    }
-
-    #[test]
     fn parse_errors_are_reported_not_panics() {
         assert!(FaultPlan::parse("loss=2.0").is_err()); // out of range
         assert!(FaultPlan::parse("frob=1").is_err()); // unknown key
         assert!(FaultPlan::parse("outage=link3").is_err()); // no window
         assert!(FaultPlan::parse("degrade=link1@0+1ms*1.5").is_err()); // factor > 1
-        assert!(FaultPlan::parse("{\"nope\": 1}").is_err());
-        assert!(FaultPlan::parse("{bad json").is_err());
     }
 
     #[test]

@@ -68,9 +68,6 @@ impl Mutation {
 /// Harness options shared by a whole batch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FuzzOpts {
-    /// Simulated-time budget per run; `None` uses
-    /// [`default_budget`].
-    pub budget: Option<Dur>,
     /// Active harness mutation, if any.
     pub mutate: Option<Mutation>,
 }
@@ -426,7 +423,11 @@ fn eval(ef: &ExpectFile, label: &str, table: &Table) -> Vec<String> {
 /// *violation* — those come back as data — but does propagate panics
 /// from genuinely broken model code (the batch driver isolates those).
 pub fn check_scenario(sc: &Scenario, opts: &FuzzOpts) -> ScenarioReport {
-    let budget = opts.budget.unwrap_or_else(default_budget);
+    check_within(sc, opts, default_budget())
+}
+
+/// [`check_scenario`] with each run's simulated time capped at `budget`.
+fn check_within(sc: &Scenario, opts: &FuzzOpts, budget: Dur) -> ScenarioReport {
     let mut violations = Vec::new();
 
     // The verbs-side network honors the scenario's backend draw:
@@ -681,7 +682,6 @@ mod tests {
         let rep = check_scenario(
             &tiny_clean(),
             &FuzzOpts {
-                budget: None,
                 mutate: Some(Mutation::Conservation),
             },
         );
@@ -697,13 +697,7 @@ mod tests {
 
     #[test]
     fn blown_budget_reports_a_no_deadlock_violation() {
-        let rep = check_scenario(
-            &tiny_clean(),
-            &FuzzOpts {
-                budget: Some(Dur::from_ps(1)),
-                mutate: None,
-            },
-        );
+        let rep = check_within(&tiny_clean(), &FuzzOpts::default(), Dur::from_ps(1));
         assert!(!rep.ok());
         assert!(
             rep.violations.iter().any(|v| v.contains("no-deadlock")),

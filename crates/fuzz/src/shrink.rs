@@ -148,7 +148,6 @@ mod tests {
     #[test]
     fn planted_bug_shrinks_to_a_minimal_deterministic_repro() {
         let opts = FuzzOpts {
-            budget: None,
             mutate: Some(Mutation::Conservation),
         };
         let sc = Scenario::generate(batch_seed(42, 0));
@@ -173,7 +172,6 @@ mod tests {
         let (back, mutate) = Scenario::parse_repro(&text).expect("repro parses");
         assert_eq!(back, min);
         let replay_opts = FuzzOpts {
-            budget: None,
             mutate: mutate.as_deref().map(|m| Mutation::parse(m).unwrap()),
         };
         let replay = check_scenario(&back, &replay_opts);

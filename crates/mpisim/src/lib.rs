@@ -47,8 +47,8 @@ pub mod verbs;
 
 pub use elanib_nic::{Payload, RoceMode, RoceParams};
 pub use runner::{
-    run_job, run_job_configured, run_scenario, run_scenario_on, JobSpec, NetConfig, Network,
-    RankProgram, ScenarioRun,
+    parse_backend, run_job, run_job_configured, run_scenario, run_scenario_on, JobSpec, NetConfig,
+    Network, RankProgram, ScenarioRun,
 };
 pub use subcomm::SubComm;
 

@@ -1,5 +1,9 @@
 //! Network-generic job launcher: run the same rank program on either
 //! network and get the final simulated time back.
+//!
+//! [`run_job`]-family launches run under a fixed in-kernel watchdog of
+//! 10 000 simulated seconds, and `ELANIB_BACKEND` (parsed by
+//! [`parse_backend`]) can force every launch onto one network.
 
 use elanib_fabric::FaultStats;
 use elanib_nic::{ElanParams, HcaParams, RoceMode, RoceParams};
@@ -126,38 +130,19 @@ pub fn run_job<P: RankProgram>(spec: JobSpec, program: P) -> SimTime {
     run_job_configured(spec, &NetConfig::default(), program)
 }
 
-/// `ELANIB_SIM_BUDGET_SECS`: in-kernel simulated-time watchdog for
-/// [`run_job`]-family launches. A runaway simulation (livelock, a
-/// fault plan that never lets a retransmit through) used to be killed
-/// from outside by the script-level `ELANIB_REGEN_TIMEOUT`; the
-/// in-kernel budget instead surfaces a typed
-/// [`SimError::ScenarioTimeout`] with the flight-ring tail attached.
-/// Default 10 000 simulated seconds — orders of magnitude past any
-/// committed exhibit, so the fixed results never feel it; `0`/`off`
-/// disables. The script watchdog stays as the outer backstop. A
-/// malformed value panics at launch rather than silently disabling
-/// the watchdog.
-fn job_budget() -> Option<SimTime> {
-    let v = std::env::var("ELANIB_SIM_BUDGET_SECS").ok();
-    parse_budget(v.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Parse an `ELANIB_SIM_BUDGET_SECS` value: unset is the 10 000 s
-/// default, `0`/`off` is no budget, whole seconds otherwise.
-fn parse_budget(v: Option<&str>) -> Result<Option<SimTime>, String> {
-    match v {
-        None => Ok(Some(SimTime::ZERO + Dur::from_secs(10_000))),
-        Some("0") | Some("off") => Ok(None),
-        Some(v) => v
-            .parse::<u64>()
-            .map(|s| Some(SimTime::ZERO + Dur::from_secs(s)))
-            .map_err(|_| format!("ELANIB_SIM_BUDGET_SECS={v:?} is not whole seconds, 0 or off")),
-    }
-}
+/// In-kernel simulated-time watchdog for [`run_job`]-family launches.
+/// A runaway simulation (livelock, a fault plan that never lets a
+/// retransmit through) ends as a typed [`SimError::ScenarioTimeout`]
+/// with the flight-ring tail attached instead of spinning; the
+/// script-level `ELANIB_REGEN_TIMEOUT` stays as the outer backstop.
+/// 10 000 simulated seconds is orders of magnitude past any committed
+/// exhibit, so the fixed results never feel it.
+const JOB_BUDGET_SECS: u64 = 10_000;
 
 /// [`run_job`] with explicit stack parameters (ablations, sweeps).
 pub fn run_job_configured<P: RankProgram>(spec: JobSpec, cfg: &NetConfig, program: P) -> SimTime {
-    match run_scenario(spec, cfg, job_budget(), program) {
+    let budget = SimTime::ZERO + Dur::from_secs(JOB_BUDGET_SECS);
+    match run_scenario(spec, cfg, Some(budget), program) {
         Ok(run) => run.end,
         Err(e @ SimError::Deadlock { .. }) => panic!("{} job deadlocked: {e}", spec.network),
         Err(e) => panic!("{} job failed: {e}", spec.network),
@@ -203,16 +188,25 @@ fn backend_override(spec: JobSpec) -> JobSpec {
     apply_backend(spec, std::env::var("ELANIB_BACKEND").ok().as_deref())
 }
 
-fn apply_backend(spec: JobSpec, name: Option<&str>) -> JobSpec {
+/// Parse an `ELANIB_BACKEND` value: unset is no override, a registry
+/// name is that network, anything else is an error naming the
+/// variable, the value and the known names.
+pub fn parse_backend(name: Option<&str>) -> Result<Option<Network>, String> {
     match name {
-        None => spec,
-        Some(name) => match Network::parse(name) {
-            Some(network) => JobSpec { network, ..spec },
-            None => panic!(
+        None => Ok(None),
+        Some(name) => Network::parse(name).map(Some).ok_or_else(|| {
+            format!(
                 "ELANIB_BACKEND={name:?} is not a backend; known: {}",
                 Network::ALL.map(Network::name).join(", ")
-            ),
-        },
+            )
+        }),
+    }
+}
+
+fn apply_backend(spec: JobSpec, name: Option<&str>) -> JobSpec {
+    match parse_backend(name).unwrap_or_else(|e| panic!("{e}")) {
+        Some(network) => JobSpec { network, ..spec },
+        None => spec,
     }
 }
 
@@ -419,22 +413,6 @@ mod tests {
             "ELANIB_BACKEND=\"myrinet\" is not a backend; known: \
              hca, elan, roce-pfc, roce-dcqcn, roce-hybrid"
         );
-    }
-
-    #[test]
-    fn budget_values_parse_or_fail_loudly() {
-        let secs = |s| Ok(Some(SimTime::ZERO + Dur::from_secs(s)));
-        assert_eq!(parse_budget(None), secs(10_000));
-        assert_eq!(parse_budget(Some("0")), Ok(None));
-        assert_eq!(parse_budget(Some("off")), Ok(None));
-        assert_eq!(parse_budget(Some("42")), secs(42));
-        for bad in ["10s", "1e4", "-5", ""] {
-            let e = parse_budget(Some(bad)).expect_err(bad);
-            assert!(
-                e.contains("ELANIB_SIM_BUDGET_SECS") && e.contains(&format!("{bad:?}")),
-                "{e}"
-            );
-        }
     }
 
     /// Rank 0 sends one 4 KiB message to rank 1.

@@ -5,7 +5,7 @@
 //! that with the same
 //! zero-cost-when-off discipline as the tracer (`elanib-trace`): the
 //! kernel carries an `Option<Rc<KernelProfiler>>` that is `None`
-//! unless `ELANIB_PROFILE` is set, so the hot path pays one null check
+//! unless `ELANIB_PROFILE=1`, so the hot path pays one null check
 //! per dispatch when profiling is off and no timestamping, no
 //! histogram update, no allocation.
 //!
@@ -50,7 +50,7 @@
 //! pass and reports them as its `simcore.*` per-layer metrics.
 
 use std::cell::RefCell;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -76,13 +76,9 @@ fn log2_bucket(v: u64) -> usize {
     }
 }
 
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 fn env_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| env_flag("ELANIB_PROFILE"))
+    *ON.get_or_init(|| elanib_trace::env_flag("ELANIB_PROFILE"))
 }
 
 /// Runtime override used by tests (env vars are cached once per
@@ -396,18 +392,15 @@ fn profile_json(label: &str, t: &ProfTotals) -> String {
 }
 
 /// Drain the accumulator and write `<label>.profile.json` for run
-/// `label` in the trace output directory. Returns `None` when nothing
-/// was collected — the every-day case of profiling disabled, so
-/// exhibit binaries call this unconditionally.
-pub fn flush(label: &str) -> Option<FlushedProfile> {
+/// `label` into `dir`. Returns `None` when nothing was collected — the
+/// every-day case of profiling disabled, so exhibit binaries call this
+/// unconditionally.
+pub fn flush(label: &str, dir: &Path) -> Option<FlushedProfile> {
     let t = take();
     if t.sims == 0 {
         return None;
     }
-    let dir = elanib_trace::config()
-        .dir
-        .unwrap_or_else(|| PathBuf::from("."));
-    let _ = std::fs::create_dir_all(&dir);
+    let _ = std::fs::create_dir_all(dir);
     let mut out = FlushedProfile::default();
     let p = dir.join(format!("{label}.profile.json"));
     if std::fs::write(&p, profile_json(label, &t)).is_ok() {

@@ -16,7 +16,7 @@
 //!   CSVs;
 //! * everything is **off by default and zero-cost when off**: the
 //!   simulation kernel carries an `Option<Rc<Tracer>>` that is `None`
-//!   unless `ELANIB_TRACE` / `ELANIB_METRICS` is set, so the hot path
+//!   unless `ELANIB_TRACE=1` or `ELANIB_METRICS=1`, so the hot path
 //!   pays one predictable null check per instrumentation point and no
 //!   allocation, no dyn dispatch, no formatting.
 //!
@@ -34,8 +34,11 @@
 //! |---|---|
 //! | `ELANIB_TRACE` | `1` → record events, emit `<label>.trace.json` |
 //! | `ELANIB_METRICS` | `1` → record counters, emit `<label>.metrics.{json,csv}` |
-//! | `ELANIB_TRACE_DIR` | output directory (default `ELANIB_RESULTS_DIR`, else `.`) |
-//! | `ELANIB_TRACE_MAX_EVENTS` | per-simulation event cap (default 200000) |
+//!
+//! Both are flags read by [`parse_flag`]: unset, empty or `0` is off,
+//! `1` is on, and anything else is an error naming the variable. The
+//! sinks go to the directory the driver passes to [`flush`]; each
+//! simulation keeps at most [`MAX_EVENTS`] events.
 //!
 //! This crate is dependency-free and knows nothing about the simulator;
 //! `elanib-simcore` owns the `SimTime → u64 ps` conversion.
@@ -43,7 +46,7 @@
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -60,11 +63,6 @@ pub struct TraceConfig {
     pub events: bool,
     /// Record counters/gauges/histograms for the metrics sink.
     pub metrics: bool,
-    /// Per-simulation event cap; events beyond it are counted as
-    /// dropped rather than stored (bounds trace file size in sweeps).
-    pub max_events: usize,
-    /// Output directory override for [`flush`].
-    pub dir: Option<PathBuf>,
 }
 
 impl TraceConfig {
@@ -77,27 +75,33 @@ impl TraceConfig {
         TraceConfig {
             events: true,
             metrics: true,
-            max_events: DEFAULT_MAX_EVENTS,
-            dir: None,
         }
     }
 }
 
-const DEFAULT_MAX_EVENTS: usize = 200_000;
+/// Per-simulation event cap: events beyond it are counted as dropped
+/// rather than stored, which bounds trace file size in sweeps.
+pub const MAX_EVENTS: usize = 200_000;
 
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
+/// Parse the value of an on/off variable `name`: unset, empty and `0`
+/// are off, `1` is on, anything else is an error naming the variable
+/// and the value.
+pub fn parse_flag(name: &str, v: Option<&str>) -> Result<bool, String> {
+    match v {
+        None | Some("") | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(v) => Err(format!(
+            "{name}={v:?} is not a flag: use 1 (on), or 0 or empty (off)"
+        )),
+    }
 }
 
-/// Parse an `ELANIB_TRACE_MAX_EVENTS` value: unset is the default
-/// cap, a whole number of events ≥ 0 otherwise.
-fn parse_max_events(v: Option<&str>) -> Result<usize, String> {
-    match v {
-        None => Ok(DEFAULT_MAX_EVENTS),
-        Some(v) => v.parse::<usize>().map_err(|_| {
-            format!("ELANIB_TRACE_MAX_EVENTS={v:?} is not a whole number of events >= 0")
-        }),
-    }
+/// Read the on/off variable `name` from the environment. A value
+/// [`parse_flag`] refuses panics with its message; the binaries check
+/// every variable before any simulation starts, so only a library
+/// caller reaches that.
+pub fn env_flag(name: &str) -> bool {
+    parse_flag(name, std::env::var(name).ok().as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn env_config() -> &'static TraceConfig {
@@ -105,18 +109,6 @@ fn env_config() -> &'static TraceConfig {
     CFG.get_or_init(|| TraceConfig {
         events: env_flag("ELANIB_TRACE"),
         metrics: env_flag("ELANIB_METRICS"),
-        max_events: parse_max_events(std::env::var("ELANIB_TRACE_MAX_EVENTS").ok().as_deref())
-            .unwrap_or_else(|e| panic!("{e}")),
-        dir: std::env::var("ELANIB_TRACE_DIR")
-            .ok()
-            .filter(|d| !d.is_empty())
-            .map(PathBuf::from)
-            .or_else(|| {
-                std::env::var("ELANIB_RESULTS_DIR")
-                    .ok()
-                    .filter(|d| !d.is_empty())
-                    .map(PathBuf::from)
-            }),
     })
 }
 
@@ -185,7 +177,6 @@ pub struct Event {
 pub struct Tracer {
     events_on: bool,
     metrics_on: bool,
-    max_events: usize,
     seed: u64,
     label: RefCell<String>,
     events: RefCell<Vec<Event>>,
@@ -200,29 +191,19 @@ impl Tracer {
     /// current [`config`] enables any sink.
     pub fn from_config(seed: u64) -> Option<Rc<Tracer>> {
         let cfg = config();
-        if !cfg.enabled() {
-            return None;
-        }
-        Some(Rc::new(Tracer {
-            events_on: cfg.events,
-            metrics_on: cfg.metrics,
-            max_events: cfg.max_events,
-            seed,
-            label: RefCell::new(format!("sim-seed{seed}")),
-            events: RefCell::new(Vec::new()),
-            dropped: Cell::new(0),
-            counters: RefCell::new(BTreeMap::new()),
-            gauges: RefCell::new(BTreeMap::new()),
-            hists: RefCell::new(BTreeMap::new()),
-        }))
+        cfg.enabled()
+            .then(|| Rc::new(Tracer::new(cfg.events, cfg.metrics, seed)))
     }
 
     /// Tracer with both sinks on regardless of environment (tests).
     pub fn forced(seed: u64) -> Rc<Tracer> {
-        Rc::new(Tracer {
-            events_on: true,
-            metrics_on: true,
-            max_events: DEFAULT_MAX_EVENTS,
+        Rc::new(Tracer::new(true, true, seed))
+    }
+
+    fn new(events_on: bool, metrics_on: bool, seed: u64) -> Tracer {
+        Tracer {
+            events_on,
+            metrics_on,
             seed,
             label: RefCell::new(format!("sim-seed{seed}")),
             events: RefCell::new(Vec::new()),
@@ -230,7 +211,7 @@ impl Tracer {
             counters: RefCell::new(BTreeMap::new()),
             gauges: RefCell::new(BTreeMap::new()),
             hists: RefCell::new(BTreeMap::new()),
-        })
+        }
     }
 
     #[inline]
@@ -257,7 +238,7 @@ impl Tracer {
 
     fn push(&self, ev: Event) {
         let mut evs = self.events.borrow_mut();
-        if evs.len() >= self.max_events {
+        if evs.len() >= MAX_EVENTS {
             self.dropped.set(self.dropped.get() + 1);
             return;
         }
@@ -453,19 +434,18 @@ pub struct FlushedFiles {
     pub metrics_csv: Option<PathBuf>,
 }
 
-/// Drain the collector and write the sinks for run `label`:
-/// `<label>.trace.json` (when any events were recorded) plus
+/// Drain the collector and write the sinks for run `label` into
+/// `dir`: `<label>.trace.json` (when any events were recorded) plus
 /// `<label>.metrics.json` / `<label>.metrics.csv` (when any metrics
 /// were). Returns `None` when nothing was collected — which is the
 /// every-day case of tracing disabled, so drivers call this
 /// unconditionally.
-pub fn flush(label: &str) -> Option<FlushedFiles> {
+pub fn flush(label: &str, dir: &Path) -> Option<FlushedFiles> {
     let traces = drain();
     if traces.is_empty() {
         return None;
     }
-    let dir = config().dir.unwrap_or_else(|| PathBuf::from("."));
-    let _ = std::fs::create_dir_all(&dir);
+    let _ = std::fs::create_dir_all(dir);
     let mut out = FlushedFiles::default();
     if traces.iter().any(|t| !t.events.is_empty()) {
         let p = dir.join(format!("{label}.trace.json"));
@@ -490,20 +470,6 @@ pub fn flush(label: &str) -> Option<FlushedFiles> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn max_events_parser_accepts_counts_and_names_bad_values() {
-        assert_eq!(parse_max_events(None), Ok(DEFAULT_MAX_EVENTS));
-        assert_eq!(parse_max_events(Some("0")), Ok(0));
-        assert_eq!(parse_max_events(Some("5000")), Ok(5000));
-        for bad in ["abc", "-1", "1.5", "", " 7"] {
-            let e = parse_max_events(Some(bad)).unwrap_err();
-            assert!(
-                e.starts_with("ELANIB_TRACE_MAX_EVENTS=") && e.contains(&format!("{bad:?}")),
-                "{e}"
-            );
-        }
-    }
 
     #[test]
     fn disabled_config_builds_no_tracer() {
@@ -533,23 +499,14 @@ mod tests {
 
     #[test]
     fn event_cap_counts_drops() {
-        let t = Tracer {
-            events_on: true,
-            metrics_on: false,
-            max_events: 3,
-            seed: 0,
-            label: RefCell::new("cap".into()),
-            events: RefCell::new(Vec::new()),
-            dropped: Cell::new(0),
-            counters: RefCell::new(BTreeMap::new()),
-            gauges: RefCell::new(BTreeMap::new()),
-            hists: RefCell::new(BTreeMap::new()),
-        };
-        for i in 0..10 {
+        let t = Tracer::new(true, false, 0);
+        for i in 0..MAX_EVENTS as u64 + 7 {
             t.instant("test", "e", i, 0, 0);
         }
-        assert_eq!(t.event_count(), 3);
+        assert_eq!(t.event_count(), MAX_EVENTS);
         assert_eq!(t.dropped_events(), 7);
+        // Keep the capped events out of the shared collector.
+        t.events.borrow_mut().clear();
     }
 
     #[test]

@@ -271,7 +271,13 @@ stage_faults() {
     ELANIB_RESULTS_DIR="$scratch/outage" ELANIB_FAULTS="outage=link0@200us+2ms,seed=13" \
         timeout "$wd" ./target/release/fig2 > /dev/null \
         || { echo "FAIL: fig2 under a link-outage plan (status $?)" >&2; return 1; }
-    echo "fault-matrix smoke OK: loss and outage plans both completed"
+    # A malformed plan is refused before anything simulates: exit 2,
+    # never a silent fault-free run.
+    local rc=0
+    ELANIB_FAULTS="bogus" ./target/release/table1 > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] \
+        || { echo "FAIL: table1 under ELANIB_FAULTS=bogus exited $rc, want 2" >&2; return 1; }
+    echo "fault-matrix smoke OK: loss and outage plans both completed, a bad plan exits 2"
 }
 
 stage_zero-fault() {

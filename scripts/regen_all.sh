@@ -12,9 +12,17 @@
 # Environment:
 #   ELANIB_SWEEP_THREADS  sweep-engine pool width (default: all cores;
 #                         results are identical at any setting)
-#   ELANIB_TRACE / ELANIB_METRICS  also emit Chrome traces / metrics
-#                         summaries per exhibit (see EXPERIMENTS.md);
-#                         the CSV diff must still pass with these set
+#   ELANIB_TRACE / ELANIB_METRICS / ELANIB_PROFILE  =1 also emits
+#                         Chrome traces / metrics summaries / kernel
+#                         profiles per exhibit into the output
+#                         directory (see EXPERIMENTS.md); the CSV diff
+#                         must still pass with these set
+#   ELANIB_FAULTS         fault plan for every exhibit (CSVs then differ
+#                         unless the plan injects nothing)
+#
+# Each exhibit checks every ELANIB_* variable before it simulates; a
+# name the programs do not read, or a bad value, exits 2 (README.md,
+# "Runtime environment variables").
 #   ELANIB_REGEN_TIMEOUT  per-exhibit watchdog in seconds (default 300):
 #                         an exhibit that livelocks — e.g. a fault plan
 #                         that deadlocks a simulated rank — is killed
