@@ -2,7 +2,7 @@
 //! stacks, with shrinking and replayable repros.
 //!
 //! ```text
-//! fuzz [--scenarios N] [--seed S] [--replay FILE] [--mutate NAME]
+//! fuzz [--scenarios N] [--seed S] [--budget-secs B] [--replay FILE] [--mutate NAME]
 //! ```
 //!
 //! * Batch mode (default): generate `N` scenarios from base seed `S`,
@@ -17,25 +17,29 @@
 //!   invariants still catch bugs.
 //!
 //! The batch defaults to 100 scenarios from base seed 42.
-//! `ELANIB_FUZZ_BUDGET_SECS` (whole seconds) caps the batch's
-//! *wall-clock* time — the run stops launching new chunks once the
-//! budget is spent, so a CI stage is time-boxed without killing the
-//! process mid-scenario. Per-run *simulated* time is bounded
+//! `--budget-secs B` (whole seconds) caps the batch's *wall-clock*
+//! time — the run stops launching new chunks once the budget is spent,
+//! so a CI stage is time-boxed without killing the process
+//! mid-scenario. Per-run *simulated* time is bounded
 //! separately by the harness's 1 s watchdog (a blown budget is a typed
 //! `ScenarioTimeout`, reported as a no-deadlock violation). Every
-//! `ELANIB_*` variable is checked before anything runs; bad input
-//! exits 2.
+//! `ELANIB_*` variable and every flag is checked before anything runs;
+//! bad input exits 2.
 //! Reports a `[sweep fuzz: …]` stderr line per chunk, like every other
 //! exhibit binary.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use elanib_fuzz::{check_scenario, fuzz_batch, write_repro, FuzzOpts, Mutation, Scenario};
+use elanib_core::panic_message;
+use elanib_fuzz::{
+    check_scenario, fuzz_batch, is_qp_error, write_repro, FuzzOpts, Mutation, Scenario,
+};
 
 struct Args {
     scenarios: usize,
     seed: u64,
+    wall_budget: Option<Duration>,
     replay: Option<PathBuf>,
     mutate: Option<Mutation>,
 }
@@ -44,6 +48,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scenarios: 100,
         seed: 42,
+        wall_budget: None,
         replay: None,
         mutate: None,
     };
@@ -61,12 +66,19 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
+            "--budget-secs" => {
+                let secs = val("--budget-secs")?
+                    .parse()
+                    .map_err(|e| format!("bad --budget-secs: {e}"))?;
+                args.wall_budget = Some(Duration::from_secs(secs));
+            }
             "--replay" => args.replay = Some(PathBuf::from(val("--replay")?)),
             "--mutate" => args.mutate = Some(Mutation::parse(&val("--mutate")?)?),
             other => {
                 return Err(format!(
                     "unknown argument {other:?} \
-                     (usage: fuzz [--scenarios N] [--seed S] [--replay FILE] [--mutate NAME])"
+                     (usage: fuzz [--scenarios N] [--seed S] [--budget-secs B] \
+                     [--replay FILE] [--mutate NAME])"
                 ))
             }
         }
@@ -129,13 +141,7 @@ fn main() {
     // each one. Every other panic still reports normally.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        if !msg.contains("retry_cnt exhausted") {
+        if !is_qp_error(&panic_message(info.payload())) {
             default_hook(info);
         }
     }));
@@ -153,11 +159,6 @@ fn main() {
     let opts = FuzzOpts {
         mutate: args.mutate,
     };
-    let budget_secs = std::env::var("ELANIB_FUZZ_BUDGET_SECS").ok();
-    let wall_budget =
-        elanib_bench::knobs::parse_secs("ELANIB_FUZZ_BUDGET_SECS", budget_secs.as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-            .map(Duration::from_secs);
     let started = Instant::now();
     // Chunked batches so the wall-clock budget is honoured at a
     // scenario-chunk boundary instead of killing mid-run.
@@ -165,7 +166,7 @@ fn main() {
     let mut done = 0usize;
     let mut skipped = 0usize;
     while done < args.scenarios {
-        if let Some(budget) = wall_budget {
+        if let Some(budget) = args.wall_budget {
             if started.elapsed() >= budget && done > 0 {
                 println!(
                     "wall budget ({}s) spent after {done}/{} scenarios — stopping early",

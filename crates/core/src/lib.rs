@@ -26,7 +26,7 @@ pub use inventory::{exhibit, Exhibit, EXHIBITS};
 pub use platform::table1;
 pub use report::{f, TextTable};
 pub use sweep::{
-    sweep, sweep_guided, sweep_guided_with_stats, sweep_with_opts, sweep_with_stats, PointResult,
+    panic_message, sweep, sweep_guided_with_stats, sweep_with_opts, sweep_with_stats, PointResult,
     SweepOpts, SweepStats, MAX_RETAINED_FAILURES,
 };
 

@@ -220,16 +220,6 @@ where
     sweep_on_pool(items, f, sweep_threads(items.len()), Some(hints))
 }
 
-/// [`sweep_guided_with_stats`] without the stats.
-pub fn sweep_guided<I, T, F>(items: &[I], hints: &[u64], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    sweep_guided_with_stats(items, hints, f).0
-}
-
 /// The engine under [`sweep_with_stats`]: explicit pool width, atomic
 /// work claiming, and with cost `hints` a biggest-first claim order.
 /// Separated out (and kept crate-visible) so tests can drive any pool
@@ -387,6 +377,18 @@ fn params_hash<I: std::fmt::Debug>(item: &I) -> u64 {
     h.finish()
 }
 
+/// The message of a panic payload: the `&str` or `String` that
+/// `panic!` carries, or a placeholder for any other payload type.
+pub fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// [`sweep_with_stats`] with per-point panic isolation available. With
 /// `opts.isolate_panics` a panicking job is caught on its worker
 /// thread, recorded as [`PointResult::Failed`], and the sweep finishes
@@ -412,13 +414,7 @@ where
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))) {
             Ok(t) => PointResult::Ok(t),
             Err(p) => {
-                let payload = if let Some(s) = p.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = p.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
+                let payload = panic_message(&*p);
                 failed.fetch_add(1, Ordering::Relaxed);
                 {
                     let mut r = retained.lock().unwrap();
@@ -732,6 +728,6 @@ mod tests {
     #[should_panic(expected = "one cost hint per sweep item")]
     fn guided_sweep_rejects_mismatched_hints() {
         let items = [(1u64, 1u32), (2, 1)];
-        sweep_guided(&items, &[5], toy_sim);
+        sweep_guided_with_stats(&items, &[5], toy_sim);
     }
 }

@@ -1,9 +1,8 @@
 //! Scenario execution and invariant checking.
 //!
 //! [`check_scenario`] runs one generated [`Scenario`] through **both**
-//! simulated stacks and evaluates every cross-cutting invariant as a
-//! first-class `elanib-validate` term over a synthesized in-memory
-//! metrics table ([`elanib_validate::run_on_table`]):
+//! simulated stacks and compares the measured values directly; each
+//! violation names its invariant and prints both values:
 //!
 //! * **byte conservation** — every application byte a rank sends is
 //!   received exactly once (faults cost retransmits, never payload),
@@ -13,7 +12,8 @@
 //!   [`SimError::ScenarioTimeout`] with the flight-ring tail attached;
 //! * **determinism / observer effect** — re-running the same seed,
 //!   optionally with a tracer or kernel profiler attached, reproduces
-//!   the end time, wire totals, and per-link byte vector exactly;
+//!   the end time, wire and message totals, application tallies, and
+//!   per-link byte vector exactly;
 //! * **monotone degradation** — adding packet loss/corruption to an
 //!   otherwise identical scenario never *materially* shortens
 //!   completion (a calibrated slack absorbs the genuine
@@ -24,10 +24,9 @@
 //!   §4 small-message claim as a predicate over generated points).
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::LazyLock;
 
+use elanib_core::panic_message;
 use elanib_fabric::FaultPlan;
 use elanib_mpi::collectives::{allreduce, Op};
 use elanib_mpi::{
@@ -36,8 +35,6 @@ use elanib_mpi::{
 };
 use elanib_simcore::trace::Tracer;
 use elanib_simcore::{Dur, KernelProfiler, Sim, SimError, SimTime};
-use elanib_validate::csv::Table;
-use elanib_validate::expect::ExpectFile;
 
 use crate::scenario::Scenario;
 
@@ -147,25 +144,35 @@ struct Measured {
     recvd: u64,
 }
 
-/// Fold a run's observable metrics into a single comparison word,
-/// reduced mod 2^32 so it stays exactly representable as the `f64` a
-/// validate table cell holds.
-fn fold_run(m: &Measured) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mixin = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    mixin(m.run.end.as_ps());
-    mixin(m.run.stats.wire_bytes);
-    mixin(m.run.stats.nic_messages);
-    mixin(m.run.stats.unexpected);
-    mixin(m.sent);
-    mixin(m.recvd);
-    for &b in &m.run.link_bytes {
-        mixin(b);
-    }
-    h % (1 << 32)
+/// Where a replay departs from its base run: one `name: base, replay`
+/// entry per differing field, empty when the replay reproduced the run
+/// exactly.
+fn replay_diffs(base: &Measured, replay: &Measured) -> Vec<String> {
+    let (b, r) = (&base.run, &replay.run);
+    let fields = [
+        ("end ps", b.end.as_ps(), r.end.as_ps()),
+        ("wire bytes", b.stats.wire_bytes, r.stats.wire_bytes),
+        ("NIC messages", b.stats.nic_messages, r.stats.nic_messages),
+        ("unexpected", b.stats.unexpected, r.stats.unexpected),
+        ("sent", base.sent, replay.sent),
+        ("received", base.recvd, replay.recvd),
+        (
+            "links",
+            b.link_bytes.len() as u64,
+            r.link_bytes.len() as u64,
+        ),
+    ];
+    let links = b.link_bytes.iter().zip(&r.link_bytes).enumerate();
+    fields
+        .into_iter()
+        .filter(|(_, x, y)| x != y)
+        .map(|(name, x, y)| format!("{name}: base {x}, replay {y}"))
+        .chain(
+            links
+                .filter(|(_, (x, y))| x != y)
+                .map(|(i, (x, y))| format!("link {i} bytes: base {x}, replay {y}")),
+        )
+        .collect()
 }
 
 fn net_config(sc: &Scenario, faults: &FaultPlan) -> NetConfig {
@@ -241,14 +248,8 @@ fn run_caught(
         Ok(Ok(m)) => RunOutcome::Ok(m),
         Ok(Err(e)) => RunOutcome::Err(e),
         Err(p) => {
-            let msg = if let Some(s) = p.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = p.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                String::new()
-            };
-            if msg.contains("retry_cnt exhausted") {
+            let msg = panic_message(&*p);
+            if is_qp_error(&msg) {
                 RunOutcome::QpError(msg)
             } else {
                 std::panic::resume_unwind(p)
@@ -257,140 +258,32 @@ fn run_caught(
     }
 }
 
+/// Is `panic_msg` the IB QP's bounded-retry exhaustion — the specified
+/// `QP-ERR` outcome under heavy loss, not a model bug?
+pub fn is_qp_error(panic_msg: &str) -> bool {
+    panic_msg.contains("retry_cnt exhausted")
+}
+
 fn run_plain(sc: &Scenario, net: Network, faults: &FaultPlan, budget: Dur) -> RunOutcome {
     run_caught(&Sim::new(sc.seed), sc, net, faults, budget)
 }
 
 // ---------------------------------------------------------------------------
-// Invariant expectations
+// The check
 // ---------------------------------------------------------------------------
 
-/// The per-scenario invariant terms, written in the same DSL the paper
-/// exhibits use — the fuzzer is a client of the validator, not a
-/// second implementation of it.
-const SCENARIO_EXPECT: &str = r#"
-exhibit = "Fuzz scenario invariants"
-file = "scenario"
-
-[[expect]]
-kind = "invariant"
-name = "byte-conservation-ib"
-series = "sent_ib"
-of = "recv_ib"
-
-[[expect]]
-kind = "invariant"
-name = "byte-conservation-elan"
-series = "sent_elan"
-of = "recv_elan"
-
-[[expect]]
-kind = "invariant"
-name = "link-accounting-ib"
-series = "wire_ib"
-of = "linksum_ib"
-
-[[expect]]
-kind = "invariant"
-name = "link-accounting-elan"
-series = "wire_elan"
-of = "linksum_elan"
-
-[[expect]]
-kind = "invariant"
-name = "determinism-replay-ib"
-series = "fold_ib"
-of = "fold_ib_replay"
-
-[[expect]]
-kind = "invariant"
-name = "determinism-replay-elan"
-series = "fold_elan"
-of = "fold_elan_replay"
-"#;
-
-/// The fault-ladder terms: completion time may not *materially*
-/// improve when the only change is a higher fault rate (rows are
-/// ordered clean -> faulty by the `level` key). The slack is real
-/// model physics, not hand-waving: a retry-delayed eager message can
-/// arrive after its receive is posted instead of before, skipping the
-/// unexpected-queue copy — the same receiver-side overhead the paper
-/// measures — so small runs legitimately finish several percent
-/// earlier under light loss (calibrated max over 5k generated
-/// scenarios: 6.9%). 15% absorbs that with 2x headroom; a genuine
-/// "faults speed things up" inversion scales with the loss rate and
-/// lands an order of magnitude higher — and the exact wire-bytes
-/// ladder below backstops the byte domain with zero slack.
-const LADDER_EXPECT: &str = r#"
-exhibit = "Fuzz monotone degradation"
-file = "ladder"
-
-[[expect]]
-kind = "monotonic"
-series = "end_ib"
-direction = "increasing"
-slack = 0.15
-
-[[expect]]
-kind = "monotonic"
-series = "end_elan"
-direction = "increasing"
-slack = 0.15
-"#;
-
-/// Exact byte-domain ladder, applied only when the plan has no
-/// outage/degrade/stall windows — each makes per-link reservations
-/// timing-sensitive. Outages shift reroutes, degrades inflate the
-/// reserved wire size, and a receiver stall turns an unlucky arrival
-/// into an RNR-NAK retransmit, so on windowed plans a loss-shifted
-/// message moves the byte totals in both directions. With
-/// loss/corruption alone the accounting is exactly monotone: IB RC
-/// re-reserves the whole message per retransmit, Elan link retries
-/// cost time but no wire bytes, so `faulty >= clean` holds with zero
-/// slack.
-const LADDER_WIRE_EXPECT: &str = r#"
-exhibit = "Fuzz monotone wire traffic"
-file = "ladder-wire"
-
-[[expect]]
-kind = "monotonic"
-series = "wire_ib"
-direction = "increasing"
-
-[[expect]]
-kind = "monotonic"
-series = "wire_elan"
-direction = "increasing"
-"#;
-
-/// The paper's small-message ordering claim over qualified generated
-/// points: on a clean, default-threshold, all-eager scenario, Elan-4's
-/// completion is no later than InfiniBand's.
-const ORDERING_EXPECT: &str = r#"
-exhibit = "Fuzz paper ordering"
-file = "ordering"
-
-[[expect]]
-kind = "wins"
-series = "end_elan"
-over = "end_ib"
-better = "lower"
-min_factor = 1.0
-"#;
-
-static SCENARIO_EF: LazyLock<ExpectFile> = LazyLock::new(|| {
-    ExpectFile::parse("fuzz_scenario.toml", SCENARIO_EXPECT).expect("built-in invariants parse")
-});
-static LADDER_EF: LazyLock<ExpectFile> = LazyLock::new(|| {
-    ExpectFile::parse("fuzz_ladder.toml", LADDER_EXPECT).expect("built-in ladder terms parse")
-});
-static LADDER_WIRE_EF: LazyLock<ExpectFile> = LazyLock::new(|| {
-    ExpectFile::parse("fuzz_ladder_wire.toml", LADDER_WIRE_EXPECT)
-        .expect("built-in wire-ladder terms parse")
-});
-static ORDERING_EF: LazyLock<ExpectFile> = LazyLock::new(|| {
-    ExpectFile::parse("fuzz_ordering.toml", ORDERING_EXPECT).expect("built-in ordering term parses")
-});
+/// How much earlier a faulty run may finish than its clean twin before
+/// `monotone-degradation` fires. The slack is real model physics, not
+/// hand-waving: a retry-delayed eager message can arrive after its
+/// receive is posted instead of before, skipping the unexpected-queue
+/// copy — the same receiver-side overhead the paper measures — so
+/// small runs legitimately finish several percent earlier under light
+/// loss (calibrated max over 5k generated scenarios: 6.9%). 15%
+/// absorbs that with 2x headroom; a genuine "faults speed things up"
+/// inversion scales with the loss rate and lands an order of magnitude
+/// higher — and the exact wire-bytes ladder backstops the byte domain
+/// with zero slack.
+const DEGRADATION_SLACK: f64 = 0.15;
 
 /// Does this scenario qualify as a paper-ordering comparison point?
 /// Only clean, default-threshold, all-eager-regime runs are claims the
@@ -406,19 +299,6 @@ fn ordering_qualified(sc: &Scenario) -> bool {
         && sc.msg_sizes.iter().all(|&b| (1..=1024).contains(&b))
 }
 
-fn eval(ef: &ExpectFile, label: &str, table: &Table) -> Vec<String> {
-    elanib_validate::run_on_table(ef, label, table)
-        .terms
-        .into_iter()
-        .flat_map(|t| t.violations)
-        .map(|v| v.message)
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// The check
-// ---------------------------------------------------------------------------
-
 /// Run every invariant against one scenario. Never panics on a
 /// *violation* — those come back as data — but does propagate panics
 /// from genuinely broken model code (the batch driver isolates those).
@@ -428,41 +308,35 @@ pub fn check_scenario(sc: &Scenario, opts: &FuzzOpts) -> ScenarioReport {
 
 /// [`check_scenario`] with each run's simulated time capped at `budget`.
 fn check_within(sc: &Scenario, opts: &FuzzOpts, budget: Dur) -> ScenarioReport {
+    let report = |violations, skipped| ScenarioReport {
+        scenario: sc.clone(),
+        violations,
+        skipped,
+    };
     let mut violations = Vec::new();
 
     // The verbs-side network honors the scenario's backend draw:
     // native IB, or RoCEv2 under the drawn CC mode (same world, same
     // QP-ERR contract — the CC layer only paces injections).
     let verbs_net = sc.roce.map(Network::RoceV2).unwrap_or(Network::InfiniBand);
+    let nets = [("ib", verbs_net), ("elan", Network::Elan4)];
 
     // Base runs on both stacks. A typed error (deadlock or blown
     // budget) is itself a no-deadlock violation, diagnostics included;
     // a QP retry-exhaustion is a specified outcome and skips the
     // scenario.
-    let mut measured: BTreeMap<&str, Measured> = BTreeMap::new();
-    for (key, net) in [("ib", verbs_net), ("elan", Network::Elan4)] {
+    let mut base = Vec::with_capacity(nets.len());
+    for (_, net) in nets {
         match run_plain(sc, net, &sc.faults, budget) {
-            RunOutcome::Ok(m) => {
-                measured.insert(key, m);
-            }
+            RunOutcome::Ok(m) => base.push(m),
             RunOutcome::Err(e) => {
                 violations.push(format!("invariant `no-deadlock` broken on {net}: {e}"))
             }
-            RunOutcome::QpError(msg) => {
-                return ScenarioReport {
-                    scenario: sc.clone(),
-                    violations,
-                    skipped: Some(msg),
-                };
-            }
+            RunOutcome::QpError(msg) => return report(violations, Some(msg)),
         }
     }
-    let (Some(ib), Some(elan)) = (measured.get("ib"), measured.get("elan")) else {
-        return ScenarioReport {
-            scenario: sc.clone(),
-            violations,
-            skipped: None,
-        };
+    let [ib, elan] = &base[..] else {
+        return report(violations, None);
     };
 
     // Replay runs, with the scenario's observers attached: tracing and
@@ -482,23 +356,19 @@ fn check_within(sc: &Scenario, opts: &FuzzOpts, budget: Dur) -> ScenarioReport {
     let (ib_replay, elan_replay) = match (replay(verbs_net), replay(Network::Elan4)) {
         (RunOutcome::Ok(a), RunOutcome::Ok(b)) => (a, b),
         (a, b) => {
-            for (net, r) in [(verbs_net, &a), (Network::Elan4, &b)] {
+            for ((key, net), r) in nets.into_iter().zip([&a, &b]) {
                 match r {
                     RunOutcome::Ok(_) => {}
                     RunOutcome::Err(e) => violations.push(format!(
-                        "invariant `determinism-replay` broken: replay on {net} errored: {e}"
+                        "invariant `determinism-replay-{key}` broken: replay on {net} errored: {e}"
                     )),
                     RunOutcome::QpError(msg) => violations.push(format!(
-                        "invariant `determinism-replay` broken: replay on {net} hit QP-ERR \
+                        "invariant `determinism-replay-{key}` broken: replay on {net} hit QP-ERR \
                          where the base run completed: {msg}"
                     )),
                 }
             }
-            return ScenarioReport {
-                scenario: sc.clone(),
-                violations,
-                skipped: None,
-            };
+            return report(violations, None);
         }
     };
 
@@ -509,27 +379,31 @@ fn check_within(sc: &Scenario, opts: &FuzzOpts, budget: Dur) -> ScenarioReport {
         sent_ib += 1;
     }
 
-    let row = format!(
-        "seed,sent_ib,recv_ib,sent_elan,recv_elan,wire_ib,linksum_ib,wire_elan,linksum_elan,\
-         fold_ib,fold_ib_replay,fold_elan,fold_elan_replay\n\
-         {},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-        sc.seed,
-        sent_ib,
-        ib.recvd,
-        elan.sent,
-        elan.recvd,
-        ib.run.stats.wire_bytes,
-        ib.run.link_bytes.iter().sum::<u64>(),
-        elan.run.stats.wire_bytes,
-        elan.run.link_bytes.iter().sum::<u64>(),
-        fold_run(ib),
-        fold_run(&ib_replay),
-        fold_run(elan),
-        fold_run(&elan_replay),
-    );
-    let table = Table::parse(&row).expect("harness-built CSV parses");
-    let label = format!("scenario seed {}", sc.seed);
-    violations.extend(eval(&SCENARIO_EF, &label, &table));
+    for (key, m, sent, replayed) in [
+        ("ib", ib, sent_ib, &ib_replay),
+        ("elan", elan, elan.sent, &elan_replay),
+    ] {
+        if sent != m.recvd {
+            violations.push(format!(
+                "invariant `byte-conservation-{key}` broken: {sent} B sent, {} B received",
+                m.recvd
+            ));
+        }
+        let link_sum: u64 = m.run.link_bytes.iter().sum();
+        if m.run.stats.wire_bytes != link_sum {
+            violations.push(format!(
+                "invariant `link-accounting-{key}` broken: {} wire bytes, links sum to {link_sum}",
+                m.run.stats.wire_bytes
+            ));
+        }
+        let diffs = replay_diffs(m, replayed);
+        if !diffs.is_empty() {
+            violations.push(format!(
+                "invariant `determinism-replay-{key}` broken: {}",
+                diffs.join("; ")
+            ));
+        }
+    }
 
     // Monotone degradation: re-run with rates zeroed (windows kept, so
     // the only delta is the loss/corruption process) and demand the
@@ -543,36 +417,39 @@ fn check_within(sc: &Scenario, opts: &FuzzOpts, budget: Dur) -> ScenarioReport {
             run_plain(sc, Network::Elan4, &clean, budget),
         ) {
             (RunOutcome::Ok(ib_clean), RunOutcome::Ok(elan_clean)) => {
-                let ladder = format!(
-                    "level,end_ib,end_elan\n0,{},{}\n1,{},{}\n",
-                    ib_clean.run.end.as_ps(),
-                    elan_clean.run.end.as_ps(),
-                    ib.run.end.as_ps(),
-                    elan.run.end.as_ps(),
-                );
-                let t = Table::parse(&ladder).expect("ladder CSV parses");
-                violations.extend(
-                    eval(&LADDER_EF, &label, &t)
-                        .into_iter()
-                        .map(|m| format!("invariant `monotone-degradation` broken: {m}")),
-                );
-                if sc.faults.outages.is_empty()
+                // The wire-bytes ladder is exact, but only on plans with
+                // no outage/degrade/stall windows — each makes per-link
+                // reservations timing-sensitive. Outages shift reroutes,
+                // degrades inflate the reserved wire size, and a receiver
+                // stall turns an unlucky arrival into an RNR-NAK
+                // retransmit, so on windowed plans a loss-shifted message
+                // moves the byte totals in both directions. With
+                // loss/corruption alone the accounting is exactly
+                // monotone: IB RC re-reserves the whole message per
+                // retransmit, Elan link retries cost time but no wire
+                // bytes, so `faulty >= clean` holds with zero slack.
+                let window_free = sc.faults.outages.is_empty()
                     && sc.faults.degrades.is_empty()
-                    && sc.faults.stalls.is_empty()
-                {
-                    let wire = format!(
-                        "level,wire_ib,wire_elan\n0,{},{}\n1,{},{}\n",
-                        ib_clean.run.stats.wire_bytes,
-                        elan_clean.run.stats.wire_bytes,
-                        ib.run.stats.wire_bytes,
-                        elan.run.stats.wire_bytes,
-                    );
-                    let t = Table::parse(&wire).expect("wire-ladder CSV parses");
-                    violations.extend(
-                        eval(&LADDER_WIRE_EF, &label, &t)
-                            .into_iter()
-                            .map(|m| format!("invariant `monotone-wire-traffic` broken: {m}")),
-                    );
+                    && sc.faults.stalls.is_empty();
+                for (net, clean, faulty) in [
+                    (verbs_net, &ib_clean, ib),
+                    (Network::Elan4, &elan_clean, elan),
+                ] {
+                    let (c, f) = (clean.run.end.as_ps(), faulty.run.end.as_ps());
+                    let floor = c as f64 - c as f64 * DEGRADATION_SLACK;
+                    if (f as f64) < floor {
+                        violations.push(format!(
+                            "invariant `monotone-degradation` broken on {net}: ends at {f} ps \
+                             with faults, {c} ps with rates zeroed"
+                        ));
+                    }
+                    let (c, f) = (clean.run.stats.wire_bytes, faulty.run.stats.wire_bytes);
+                    if window_free && f < c {
+                        violations.push(format!(
+                            "invariant `monotone-wire-traffic` broken on {net}: {f} wire bytes \
+                             with faults, {c} with rates zeroed"
+                        ));
+                    }
                 }
             }
             (a, b) => {
@@ -597,31 +474,22 @@ fn check_within(sc: &Scenario, opts: &FuzzOpts, budget: Dur) -> ScenarioReport {
     }
 
     // Paper ordering, on qualified points only.
-    if ordering_qualified(sc) {
-        let ordering = format!(
-            "seed,end_ib,end_elan\n{},{},{}\n",
-            sc.seed,
-            ib.run.end.as_ps(),
-            elan.run.end.as_ps(),
-        );
-        let t = Table::parse(&ordering).expect("ordering CSV parses");
-        violations.extend(
-            eval(&ORDERING_EF, &label, &t)
-                .into_iter()
-                .map(|m| format!("invariant `paper-ordering` broken: {m}")),
-        );
+    let (ib_end, elan_end) = (ib.run.end.as_ps(), elan.run.end.as_ps());
+    if ordering_qualified(sc) && elan_end > ib_end {
+        violations.push(format!(
+            "invariant `paper-ordering` broken: {} ends at {elan_end} ps, after {verbs_net}'s \
+             {ib_end} ps",
+            Network::Elan4
+        ));
     }
 
-    ScenarioReport {
-        scenario: sc.clone(),
-        violations,
-        skipped: None,
-    }
+    report(violations, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elanib_mpi::WorldStats;
 
     fn tiny_clean() -> Scenario {
         Scenario {
@@ -704,5 +572,36 @@ mod tests {
             "wrong violation set: {:#?}",
             rep.violations
         );
+    }
+
+    #[test]
+    fn replay_check_sees_divergence_above_bit_31() {
+        // Each replay differs from the base run by exactly 2^32 in one
+        // field — invisible to any digest folded down to 32 bits.
+        let base = || Measured {
+            run: ScenarioRun {
+                end: SimTime::ZERO + Dur::from_ps(1_234_567),
+                stats: WorldStats {
+                    wire_bytes: 6_144,
+                    nic_messages: 8,
+                    unexpected: 2,
+                    ..WorldStats::default()
+                },
+                faults: Default::default(),
+                link_bytes: vec![1_024, 2_048, 3_072],
+            },
+            sent: 4_352,
+            recvd: 4_352,
+        };
+        assert_eq!(replay_diffs(&base(), &base()), Vec::<String>::new());
+        let mut late = base();
+        late.run.end += Dur::from_ps(1 << 32);
+        let mut heavy = base();
+        heavy.run.link_bytes[1] += 1 << 32;
+        for (field, replay) in [("end ps", late), ("link 1 bytes", heavy)] {
+            let diffs = replay_diffs(&base(), &replay);
+            assert_eq!(diffs.len(), 1, "{diffs:?}");
+            assert!(diffs[0].starts_with(field), "{diffs:?}");
+        }
     }
 }

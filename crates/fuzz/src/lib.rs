@@ -5,8 +5,9 @@
 //! seeded random scenarios across the whole configuration space —
 //! cluster shape, message-size mix, protocol thresholds, fault
 //! schedules, and every knob that must not change results (tracing,
-//! profiling) — each run through **both** simulated stacks with cross-cutting invariants
-//! checked as first-class validate terms.
+//! profiling) — each run through **both** simulated stacks with
+//! cross-cutting invariants checked by comparing the measured values
+//! directly.
 //!
 //! The moving parts:
 //!
@@ -18,8 +19,10 @@
 //!   [`elanib_simcore::SimError::ScenarioTimeout`] budgets),
 //!   determinism/observer-effect replays, monotone
 //!   degradation, and the paper's small-message
-//!   ordering — every one expressed in the validate DSL and evaluated
-//!   with [`elanib_validate::run_on_table`].
+//!   ordering — each a plain comparison whose violation names the
+//!   invariant and prints both values. [`is_qp_error`] recognizes the
+//!   specified `QP-ERR` panic that skips a scenario instead of failing
+//!   it.
 //! * [`shrink`] — [`fuzz_batch`] (panic-isolated sweep over generated
 //!   seeds), [`shrink()`](shrink::shrink) (greedy minimization of a
 //!   failing scenario), and [`write_repro`].
@@ -32,6 +35,8 @@ pub mod harness;
 pub mod scenario;
 pub mod shrink;
 
-pub use harness::{check_scenario, default_budget, FuzzOpts, Mutation, ScenarioReport};
+pub use harness::{
+    check_scenario, default_budget, is_qp_error, FuzzOpts, Mutation, ScenarioReport,
+};
 pub use scenario::{fault_horizon, Scenario};
 pub use shrink::{batch_seed, fuzz_batch, write_repro, BatchOutcome};

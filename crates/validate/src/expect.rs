@@ -179,12 +179,6 @@ pub enum Expectation {
         series: String,
         direction: Direction,
         strict: bool,
-        /// Fractional slack on each step: an `increasing` series may
-        /// dip to `prev * (1 - slack)` without violating. Defaults to
-        /// 0 (exact monotonicity). Lets fuzz contracts say "completion
-        /// must not *materially* improve under faults" while ignoring
-        /// sub-percent event-ordering jitter.
-        slack: f64,
         select: Select,
     },
     WithinFactor {
@@ -217,13 +211,12 @@ pub enum Expectation {
         contains: Option<String>,
         select: Select,
     },
-    /// A cross-cutting scenario invariant: `series` must equal another
-    /// column (or a constant) **exactly**, row by row — no tolerance,
-    /// no factor. This is the fuzzer's primitive: byte conservation is
-    /// `sent == delivered`, determinism is `run digest == replay
-    /// digest`, no-deadlock is `failures == 0`. Distinct from
-    /// `within_factor` (which tolerates and requires positive values)
-    /// because an invariant that "almost" holds is a bug.
+    /// An exact identity: `series` must equal another column (or a
+    /// constant) **exactly**, row by row — no tolerance, no factor. For
+    /// accounting terms such as "the parts sum to the total" or
+    /// `sent == delivered`. Distinct from `within_factor` (which
+    /// tolerates and requires positive values) because an identity
+    /// that "almost" holds is a bug.
     Invariant {
         /// Label naming the invariant in reports ("byte-conservation").
         name: String,
@@ -499,21 +492,10 @@ fn parse_term(ctx: &str, table: &toml::Table) -> Result<Term, String> {
                 }
             };
             let strict = b.bool("strict", false)?;
-            let slack = b.num("slack")?.unwrap_or(0.0);
-            if slack < 0.0 {
-                return Err(format!("{ctx}: `slack` must be >= 0, got {slack}"));
-            }
-            if strict && slack > 0.0 {
-                return Err(format!(
-                    "{ctx}: `strict` and `slack` are mutually exclusive \
-                     (a strict step with slack is not strict)"
-                ));
-            }
             Expectation::Monotonic {
                 series,
                 direction,
                 strict,
-                slack,
                 select,
             }
         }
@@ -700,20 +682,14 @@ impl Expectation {
                 series,
                 direction,
                 strict,
-                slack,
                 ..
             } => format!(
-                "`{series}` is {}{}{} on {sel}",
+                "`{series}` is {}{} on {sel}",
                 if *strict { "strictly " } else { "" },
                 match direction {
                     Direction::Increasing => "increasing",
                     Direction::Decreasing => "decreasing",
                 },
-                if *slack > 0.0 {
-                    format!(" (slack {slack})")
-                } else {
-                    String::new()
-                }
             ),
             Expectation::WithinFactor {
                 series,
@@ -795,9 +771,8 @@ impl Expectation {
                 series,
                 direction,
                 strict,
-                slack,
                 ..
-            } => check_monotonic(t, &rows, series, *direction, *strict, *slack),
+            } => check_monotonic(t, &rows, series, *direction, *strict),
             Expectation::WithinFactor {
                 series,
                 of,
@@ -985,7 +960,6 @@ fn check_monotonic(
     series: &str,
     direction: Direction,
     strict: bool,
-    slack: f64,
 ) -> Vec<Violation> {
     let sc = match series_col(t, series) {
         Ok(c) => c,
@@ -1002,11 +976,10 @@ fn check_monotonic(
             }
         };
         if let Some((pr, pv)) = prev {
-            let give = pv.abs() * slack;
             let ok = match (direction, strict) {
-                (Direction::Increasing, false) => v >= pv - give,
+                (Direction::Increasing, false) => v >= pv,
                 (Direction::Increasing, true) => v > pv,
-                (Direction::Decreasing, false) => v <= pv + give,
+                (Direction::Decreasing, false) => v <= pv,
                 (Direction::Decreasing, true) => v < pv,
             };
             if !ok {

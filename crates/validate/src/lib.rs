@@ -108,32 +108,6 @@ pub fn run_file(ef: &ExpectFile, results_dir: &Path) -> FileResult {
     }
 }
 
-/// Scenario-scoped evaluation: check one parsed expectation file
-/// against an **in-memory** table instead of a CSV under a results
-/// directory. This is the fuzzer's path — it synthesizes a metrics
-/// table per scenario batch (one row per generated scenario) and
-/// evaluates invariant terms against it directly; nothing touches
-/// disk. Per-term `file` overrides are meaningless here: `label`
-/// stands in as the table's name in the report.
-pub fn run_on_table(ef: &ExpectFile, label: &str, table: &csv::Table) -> FileResult {
-    FileResult {
-        source: ef.source.clone(),
-        exhibit: ef.exhibit.clone(),
-        terms: ef
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(idx, term)| TermResult {
-                index: idx,
-                kind: term.expectation.kind_name().to_string(),
-                desc: term.expectation.describe(),
-                file: label.to_string(),
-                violations: term.expectation.check(table),
-            })
-            .collect(),
-    }
-}
-
 /// Evaluate a set of expectation files against `results_dir` and
 /// aggregate into a [`Report`]. Never fails fast: every term of every
 /// file is evaluated.

@@ -4,9 +4,10 @@
 # Stages, in order:
 #
 #    1. build        release build of the whole workspace
-#    2. test         every workspace test, then the benchmark package's
-#                    own tests (with ELANIB_* cleared), so a workspace
-#                    API change that breaks the benchmark fails here
+#    2. test         every workspace test (under the `fasttest` profile),
+#                    then the benchmark package's own tests (with
+#                    ELANIB_* cleared), so a workspace API change that
+#                    breaks the benchmark fails here
 #    3. fmt          cargo fmt --check (the tree is kept format-clean)
 #    4. clippy       warnings promoted to errors
 #    5. manifest     results/MANIFEST.sha256 must match the committed
@@ -115,7 +116,10 @@ stage_build() {
 }
 
 stage_test() {
-    cargo test --workspace --release -q \
+    # The workspace tests build under the lighter `fasttest` profile
+    # (release optimisation without LTO, parallel codegen); the
+    # exhibit binaries and every gate below still run `release`.
+    cargo test --workspace --profile fasttest -q \
         && env "${CLEAN_ENV[@]}" cargo test --offline --release -q \
             --manifest-path benchmark/Cargo.toml
 }
@@ -294,8 +298,7 @@ stage_fuzz() {
     # reproducible; the wall budget keeps it time-boxed. On violation the binary shrinks the scenario and
     # prints a fuzz_failures/<seed>.toml replay path — attach that to
     # the bug report.
-    ELANIB_FUZZ_BUDGET_SECS="${ELANIB_FUZZ_BUDGET_SECS:-60}" \
-        timeout "$wd" ./target/release/fuzz --scenarios 500 --seed 42 \
+    timeout "$wd" ./target/release/fuzz --scenarios 500 --seed 42 --budget-secs 60 \
         || { echo "FAIL: scenario fuzz found an invariant violation (repro under fuzz_failures/)" >&2; return 1; }
 }
 
