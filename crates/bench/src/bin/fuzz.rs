@@ -31,10 +31,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use elanib_core::panic_message;
-use elanib_fuzz::{
-    check_scenario, fuzz_batch, is_qp_error, write_repro, FuzzOpts, Mutation, Scenario,
-};
+use elanib_fuzz::{check_scenario, fuzz_batch, write_repro, FuzzOpts, Mutation, Scenario};
 
 struct Args {
     scenarios: usize,
@@ -135,16 +132,9 @@ fn replay(path: &Path, cli_mutate: Option<Mutation>) -> i32 {
 
 fn main() {
     elanib_bench::check_env();
-    // The harness *expects* to catch IB's specified bounded-retry
-    // panic (QP-ERR under heavy loss) and classify it as a skip;
-    // don't let the default hook spray a backtrace into the log for
-    // each one. Every other panic still reports normally.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !is_qp_error(&panic_message(info.payload())) {
-            default_hook(info);
-        }
-    }));
+    // The harness expects IB's bounded-retry panic and counts it as a
+    // skip.
+    elanib_bench::quiet_qp_errors();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -14,7 +14,7 @@ use std::path::Path;
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
-use elanib_core::{exhibit, TextTable};
+use elanib_core::{exhibit, panic_message, TextTable};
 
 pub use knobs::check_env;
 
@@ -29,12 +29,27 @@ static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
 static LAST_MARK: Mutex<Option<Instant>> = Mutex::new(None);
 
 /// Called first thing in every exhibit driver's `main`: refuses bad
-/// `ELANIB_*` input ([`check_env`]) and pins the wall-clock epoch so
-/// the first exhibit's `[regen …]` line covers its simulation time,
-/// not just the `emit` call.
+/// `ELANIB_*` input ([`check_env`]), silences the expected QP-ERR
+/// panics ([`quiet_qp_errors`]) and pins the wall-clock epoch so the
+/// first exhibit's `[regen …]` line covers its simulation time, not
+/// just the `emit` call.
 pub fn regen_begin() {
     check_env();
+    quiet_qp_errors();
     let _ = *EPOCH;
+}
+
+/// Keep the IB QP's bounded-retry panic ([`elanib_fuzz::is_qp_error`])
+/// out of stderr: the `faults` sweep and the fuzzer catch it as a
+/// measured outcome, not a failure. Every other panic still goes to
+/// the previously installed hook.
+pub fn quiet_qp_errors() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !elanib_fuzz::is_qp_error(&panic_message(info.payload())) {
+            prev(info);
+        }
+    }));
 }
 
 /// Per-exhibit regeneration record: wall time since the previous

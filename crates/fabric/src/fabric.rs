@@ -80,10 +80,6 @@ impl CongStats {
     pub fn total_pauses(&self) -> u64 {
         self.pause_frames.iter().sum()
     }
-    /// Total ECN marks across all traffic classes.
-    pub fn total_marks(&self) -> u64 {
-        self.ecn_marks.iter().sum()
-    }
 }
 
 impl Fabric {
@@ -160,22 +156,49 @@ impl Fabric {
     /// traffic never reaches the cable) and panics.
     pub fn deliver_at(&self, sim: &Sim, src: usize, dst: usize, bytes: u64) -> SimTime {
         assert_ne!(src, dst, "fabric loopback is handled above the NIC");
+        let path = self.static_path(src, dst);
+        self.walk(sim, &path.0, &path.1, bytes, None).0
+    }
+
+    /// Reserve the links `edges` (link `i` entered from vertex
+    /// `verts[i]`) for one `bytes`-long message leaving now, and return
+    /// when its last byte arrives, with the packets lost and corrupted
+    /// on the way. Under a fault plan `fs` each link may be degraded
+    /// (serialization stretched by the reciprocal of the factor) and
+    /// each MTU packet is drawn against the loss/corruption rates;
+    /// without one the counts are zero.
+    fn walk(
+        &self,
+        sim: &Sim,
+        verts: &[usize],
+        edges: &[usize],
+        bytes: u64,
+        fs: Option<&Rc<FaultState>>,
+    ) -> (SimTime, u64, u64) {
         let wire = self.params.link.wire_bytes(bytes);
         let ser = self.params.link.serialize(bytes);
         let hop = self.params.switch.hop_latency;
         let prop = self.params.link.propagation;
-
-        let path = self.static_path(src, dst);
-        let (verts, edges) = (&path.0, &path.1);
+        let packets = bytes.div_ceil(self.params.link.mtu as u64).max(1);
 
         // Head time advances link by link; each link is additionally
         // reserved for the full serialization time so later messages
         // queue behind this one.
-        let mut head = sim.now();
+        let now = sim.now();
+        let mut head = now;
         let mut stall = Dur::ZERO;
+        let (mut lost, mut corrupted) = (0u64, 0u64);
+        let mut min_factor = 1.0f64;
         for (i, &edge) in edges.iter().enumerate() {
-            let from = verts[i];
-            let ch = &self.channels[directed_channel(&self.topo, edge, from)];
+            let chan_idx = directed_channel(&self.topo, edge, verts[i]);
+            let ch = &self.channels[chan_idx];
+            let factor = fs.map_or(1.0, |fs| fs.degrade(edge, now));
+            min_factor = min_factor.min(factor);
+            let wire_eff = if factor < 1.0 {
+                (wire as f64 / factor).ceil() as u64
+            } else {
+                wire
+            };
             // Cut-through: the head cannot enter the link before the
             // link has drained whatever is ahead of it.
             let free = ch.next_free();
@@ -185,7 +208,12 @@ impl Fabric {
             head = head.max_t(free);
             // Occupy the link for our serialization time starting at
             // `head`: the link is busy for [head, head+ser).
-            let _ = ch.reserve_from(head, wire);
+            let _ = ch.reserve_from(head, wire_eff);
+            if let Some(fs) = fs {
+                let (l, c) = fs.sample_link(chan_idx, packets);
+                lost += l;
+                corrupted += c;
+            }
             head += prop;
             if i + 1 < edges.len() {
                 // The next vertex is a switch: pay its cut-through
@@ -201,7 +229,14 @@ impl Fabric {
                 tr.observe("fabric.stall_ps", stall.as_ps());
             }
         }
-        head + ser
+        // Cut-through still pays serialization once; a degraded link on
+        // the path throttles the whole pipeline to its rate.
+        let ser_eff = if min_factor < 1.0 {
+            ser.scale(1.0 / min_factor)
+        } else {
+            ser
+        };
+        (head + ser_eff, lost, corrupted)
     }
 
     /// One wire attempt under the active fault plan: like
@@ -281,58 +316,9 @@ impl Fabric {
             }
         }
 
-        let wire = self.params.link.wire_bytes(bytes);
-        let ser = self.params.link.serialize(bytes);
-        let hop = self.params.switch.hop_latency;
-        let prop = self.params.link.propagation;
-        let packets = bytes.div_ceil(self.params.link.mtu as u64).max(1);
-
-        let mut head = now;
-        let mut stall = Dur::ZERO;
-        let (mut lost, mut corrupted) = (0u64, 0u64);
-        let mut min_factor = 1.0f64;
-        for (i, &edge) in edges.iter().enumerate() {
-            let from = verts[i];
-            let chan_idx = directed_channel(&self.topo, edge, from);
-            let ch = &self.channels[chan_idx];
-            let factor = fs.degrade(edge, now);
-            min_factor = min_factor.min(factor);
-            let wire_eff = if factor < 1.0 {
-                (wire as f64 / factor).ceil() as u64
-            } else {
-                wire
-            };
-            let free = ch.next_free();
-            if free > head {
-                stall += free.since(head);
-            }
-            head = head.max_t(free);
-            let _ = ch.reserve_from(head, wire_eff);
-            let (l, c) = fs.sample_link(chan_idx, packets);
-            lost += l;
-            corrupted += c;
-            head += prop;
-            if i + 1 < edges.len() {
-                head += hop;
-            }
-        }
-        if let Some(tr) = sim.tracer() {
-            tr.add("fabric.messages", 1);
-            tr.add("fabric.wire_bytes", wire * edges.len() as u64);
-            if !stall.is_zero() {
-                tr.add("fabric.contention_stalls", 1);
-                tr.observe("fabric.stall_ps", stall.as_ps());
-            }
-        }
-        // Cut-through still pays serialization once; a degraded link on
-        // the path throttles the whole pipeline to its rate.
-        let ser_eff = if min_factor < 1.0 {
-            ser.scale(1.0 / min_factor)
-        } else {
-            ser
-        };
+        let (arrives, lost, corrupted) = self.walk(sim, verts, edges, bytes, Some(fs));
         WireOutcome::Delivered {
-            arrives: head + ser_eff,
+            arrives,
             lost,
             corrupted,
             hops: edges.len() as u32,
@@ -343,31 +329,6 @@ impl Fabric {
     /// Hop count between endpoints (for latency accounting / tests).
     pub fn hops(&self, src: usize, dst: usize) -> u32 {
         self.routes.hops(src, dst)
-    }
-
-    /// Worst queueing backlog on the static `src -> dst` route at
-    /// `now`: how long the most congested directed link on the path
-    /// stays busy past `now`. This is the congestion signal RoCEv2's
-    /// PFC/ECN machinery watches (switch egress queue depth, expressed
-    /// in drain time). Reading it reserves nothing.
-    pub fn path_backlog(&self, now: SimTime, src: usize, dst: usize) -> Dur {
-        if src == dst {
-            return Dur::ZERO;
-        }
-        let path = self.static_path(src, dst);
-        let (verts, edges) = (&path.0, &path.1);
-        let mut worst = Dur::ZERO;
-        for (i, &edge) in edges.iter().enumerate() {
-            let ch = &self.channels[directed_channel(&self.topo, edge, verts[i])];
-            let free = ch.next_free();
-            if free > now {
-                let d = free.since(now);
-                if d > worst {
-                    worst = d;
-                }
-            }
-        }
-        worst
     }
 
     /// Record one 802.1Qbb PFC pause frame on traffic class `prio`

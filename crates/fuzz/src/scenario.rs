@@ -142,12 +142,6 @@ impl Scenario {
         }
     }
 
-    /// Total application bytes one rank sends (the conservation
-    /// invariant's expected tally, per rank).
-    pub fn bytes_per_rank(&self) -> u64 {
-        self.msg_sizes.iter().sum()
-    }
-
     /// Strictly simpler variants, most aggressive first. The shrinker
     /// re-runs the failing check after each candidate and keeps a
     /// reduction only if the failure survives; every candidate here

@@ -94,6 +94,8 @@ pub struct JobSpec {
     pub network: Network,
     pub nodes: usize,
     pub ppn: usize,
+    /// Run key of the trace and metrics sinks (see [`Sim::new`]); it
+    /// changes no simulated value.
     pub seed: u64,
 }
 
@@ -214,9 +216,8 @@ fn apply_backend(spec: JobSpec, name: Option<&str>) -> JobSpec {
 /// that pin a tracer or profiler regardless of environment
 /// ([`Sim::with_tracer`] / [`Sim::with_profiler`]): the fuzzer's
 /// observer-effect invariant re-runs a scenario with telemetry
-/// attached and demands byte-identical metrics. The caller is
-/// responsible for seeding `sim` with `spec.seed` if it wants the
-/// plain [`run_scenario`] behavior.
+/// attached and demands byte-identical metrics. `spec.seed` is not
+/// read here: the run key is whatever the caller built `sim` with.
 pub fn run_scenario_on<P: RankProgram>(
     sim: &Sim,
     spec: JobSpec,

@@ -54,11 +54,6 @@ impl<C: Communicator> SubComm<C> {
         })
     }
 
-    /// Parent rank of subgroup rank `r`.
-    pub fn world_rank(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     pub fn parent(&self) -> &C {
         &self.parent
     }

@@ -44,7 +44,6 @@ pub struct ElanWorld {
     pub net: Rc<ElanNet>,
     pub nodes: Vec<Rc<Node>>,
     pub params: TportsMpiParams,
-    ppn: usize,
     /// Only populated for the explicit-registration ablation.
     regcaches: Vec<RefCell<RegCache>>,
     reg_params: HcaParams,
@@ -84,7 +83,6 @@ impl ElanWorld {
             net,
             nodes,
             params: cfg.tports,
-            ppn,
             regcaches,
             reg_params,
             hw_barrier: RefCell::new(HwBarrierState::default()),
@@ -147,9 +145,6 @@ pub struct TportsComm {
 }
 
 impl TportsComm {
-    fn cpu(&self) -> usize {
-        self.rank % self.w.ppn
-    }
     fn node(&self) -> &Rc<Node> {
         self.w.net.node_of(self.rank)
     }
@@ -200,7 +195,7 @@ impl Communicator for TportsComm {
         let cost = self.w.net.params.pio_issue
             + self.w.params.shim_overhead
             + self.ablated_reg_cost(region, bytes);
-        self.node().cpu_work(&self.w.sim, self.cpu(), cost).await;
+        self.node().cpu_work(&self.w.sim, cost).await;
         let hdr = TportHeader {
             src_rank: self.rank,
             dst_rank: dst,
@@ -218,7 +213,7 @@ impl Communicator for TportsComm {
         _region: u64,
     ) -> TportsReq {
         let cost = self.w.net.params.post_recv + self.w.params.shim_overhead;
-        self.node().cpu_work(&self.w.sim, self.cpu(), cost).await;
+        self.node().cpu_work(&self.w.sim, cost).await;
         let sel = TportSel {
             dst_rank: self.rank,
             src,
@@ -229,9 +224,7 @@ impl Communicator for TportsComm {
     }
 
     async fn compute(&self, dur: Dur, mem_intensity: f64) {
-        self.node()
-            .compute(&self.w.sim, self.cpu(), dur, mem_intensity)
-            .await;
+        self.node().compute(&self.w.sim, dur, mem_intensity).await;
     }
 
     async fn hw_barrier(&self) -> bool {
@@ -241,7 +234,7 @@ impl Communicator for TportsComm {
         // Arm the barrier network (one PIO), then wait for the global
         // pulse: released `latency` after the last rank arrives.
         self.node()
-            .cpu_work(&self.w.sim, self.cpu(), self.w.net.params.pio_issue)
+            .cpu_work(&self.w.sim, self.w.net.params.pio_issue)
             .await;
         let flag = Flag::new();
         let release = {

@@ -218,7 +218,6 @@ pub struct IbWorld {
     pub nodes: Vec<Rc<Node>>,
     pub params: VerbsParams,
     ranks: Vec<Rc<RankState>>,
-    ppn: usize,
 }
 
 impl IbWorld {
@@ -289,7 +288,6 @@ impl IbWorld {
             nodes,
             params: cfg.verbs,
             ranks,
-            ppn,
         });
         if cfg.verbs.async_progress {
             // ABLATION (§7): interrupt-driven progress. Each arrival
@@ -361,7 +359,7 @@ impl IbWorld {
             let fut = f(comm.clone());
             self.sim
                 .spawn_fmt(format_args!("{name}[ib:{r}]"), async move {
-                    comm.node().cpu_work(&sim, comm.cpu(), setup).await;
+                    comm.node().cpu_work(&sim, setup).await;
                     fut.await;
                 });
         }
@@ -382,9 +380,6 @@ pub enum VerbsReq {
 }
 
 impl VerbsComm {
-    fn cpu(&self) -> usize {
-        self.rank % self.w.ppn
-    }
     fn node(&self) -> &Rc<Node> {
         self.w.net.node_of(self.rank)
     }
@@ -413,9 +408,9 @@ impl VerbsComm {
             return;
         }
         if self.w.params.async_progress {
-            self.node().cpu_work(&self.w.sim, self.cpu(), d).await;
+            self.node().cpu_work(&self.w.sim, d).await;
         } else {
-            self.node().compute(&self.w.sim, self.cpu(), d, 0.5).await;
+            self.node().compute(&self.w.sim, d, 0.5).await;
         }
     }
 
@@ -788,9 +783,7 @@ impl Communicator for VerbsComm {
     }
 
     async fn compute(&self, dur: Dur, mem_intensity: f64) {
-        self.node()
-            .compute(&self.w.sim, self.cpu(), dur, mem_intensity)
-            .await;
+        self.node().compute(&self.w.sim, dur, mem_intensity).await;
     }
 
     async fn wait(&self, req: VerbsReq) -> Option<RecvMsg> {

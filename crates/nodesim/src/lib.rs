@@ -26,8 +26,6 @@ use elanib_simcore::{Dur, PsResource, Sim};
 /// Physical constants of the Table-1 node.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeParams {
-    /// CPUs per node (dual-processor Xeon).
-    pub cpus: usize,
     /// Sustained single-stream memcpy bandwidth through the FSB,
     /// bytes/s. A 533 MHz, 8-byte FSB peaks at 4.3 GB/s; sustained
     /// copy (read+write) on this platform generation is ~1.5 GB/s.
@@ -48,7 +46,6 @@ pub struct NodeParams {
 impl Default for NodeParams {
     fn default() -> Self {
         NodeParams {
-            cpus: 2,
             mem_copy_bw: 1.5e9,
             pcix_bw: 0.95e9,
             dma_setup: Dur::from_ns(450),
@@ -67,7 +64,6 @@ pub struct Node {
     /// CPUs currently inside a compute or copy phase (for the
     /// contention dilation model).
     active_cpus: Cell<usize>,
-    cpu_busy: Vec<Cell<Dur>>,
 }
 
 impl Node {
@@ -78,7 +74,6 @@ impl Node {
             mem_bus: PsResource::new(params.mem_copy_bw),
             pcix: PsResource::new(params.pcix_bw),
             active_cpus: Cell::new(0),
-            cpu_busy: (0..params.cpus).map(|_| Cell::new(Dur::ZERO)).collect(),
         })
     }
 
@@ -123,30 +118,23 @@ impl Node {
         self.mem_bus.transfer(sim, bytes).await;
     }
 
-    /// Occupy CPU `cpu` with pure protocol work for `dur` (no memory
+    /// Occupy a CPU with pure protocol work for `dur` (no memory
     /// pressure modelled beyond the time itself).
-    pub async fn cpu_work(&self, sim: &Sim, cpu: usize, dur: Dur) {
-        self.cpu_busy[cpu].set(self.cpu_busy[cpu].get() + dur);
+    pub async fn cpu_work(&self, sim: &Sim, dur: Dur) {
         sim.sleep(dur).await;
     }
 
-    /// Run an application compute phase of nominal length `dur` on CPU
-    /// `cpu`. `mem_intensity` ∈ [0,1] says how memory-bound the kernel
+    /// Run an application compute phase of nominal length `dur` on one
+    /// CPU. `mem_intensity` ∈ [0,1] says how memory-bound the kernel
     /// is; the phase stretches by
     /// `1 + beta * mem_intensity * (other active CPUs at entry)`.
-    pub async fn compute(&self, sim: &Sim, cpu: usize, dur: Dur, mem_intensity: f64) {
+    pub async fn compute(&self, sim: &Sim, dur: Dur, mem_intensity: f64) {
         let others = self.active_cpus.get();
         let factor = 1.0 + self.params.contention_beta * mem_intensity * others as f64;
         let stretched = dur.scale(factor);
         self.active_cpus.set(others + 1);
-        self.cpu_busy[cpu].set(self.cpu_busy[cpu].get() + stretched);
         sim.sleep(stretched).await;
         self.active_cpus.set(self.active_cpus.get() - 1);
-    }
-
-    /// Cumulative busy time of one CPU (stats).
-    pub fn cpu_busy_time(&self, cpu: usize) -> Dur {
-        self.cpu_busy[cpu].get()
     }
 
     /// Slowdown multiplier for a compute kernel whose per-process
@@ -220,12 +208,12 @@ mod tests {
         let t_end = Rc::new(Cell::new(0.0));
         let (n1, s1) = (node.clone(), sim.clone());
         sim.spawn("cpu0", async move {
-            n1.compute(&s1, 0, Dur::from_ms(10), 1.0).await;
+            n1.compute(&s1, Dur::from_ms(10), 1.0).await;
         });
         let (n2, s2, te) = (node.clone(), sim.clone(), t_end.clone());
         sim.spawn("cpu1", async move {
             s2.sleep(Dur::from_us(1)).await; // enter second
-            n2.compute(&s2, 1, Dur::from_ms(10), 1.0).await;
+            n2.compute(&s2, Dur::from_ms(10), 1.0).await;
             te.set(s2.now().as_us_f64());
         });
         sim.run().unwrap();
@@ -239,7 +227,7 @@ mod tests {
         let node = Node::new(0, NodeParams::default());
         let s = sim.clone();
         sim.spawn("t", async move {
-            node.compute(&s, 0, Dur::from_ms(10), 1.0).await;
+            node.compute(&s, Dur::from_ms(10), 1.0).await;
             assert_eq!(s.now().as_us_f64(), 10_000.0);
         });
         sim.run().unwrap();

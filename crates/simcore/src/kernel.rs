@@ -1,14 +1,16 @@
 //! The discrete-event kernel and its cooperative task executor.
 //!
-//! The kernel is single-threaded and **deterministic**: every run with
-//! the same seed and the same task program replays the exact same event
-//! sequence. Determinism comes from three rules:
+//! The kernel is single-threaded and **deterministic**: every run of
+//! the same task program replays the exact same event sequence.
+//! Determinism comes from three rules:
 //!
 //! 1. pending events are ordered by `(time, sequence-number)`, so
 //!    simultaneous events fire in scheduling order;
 //! 2. there is exactly one executor thread — tasks are `async` state
 //!    machines polled to completion one at a time;
-//! 3. all randomness flows through the kernel's seeded [`rand::rngs::StdRng`].
+//! 3. the kernel draws no random numbers; a model that wants noise
+//!    derives it from its own seed (as fault plans and RoCE do), so the
+//!    program alone fixes every draw.
 //!
 //! Simulated processes (MPI ranks, NIC engines, switch arbiters) are
 //! plain `async fn`s spawned with [`Sim::spawn`]. They suspend on
@@ -97,9 +99,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::profile::KernelProfiler;
 use crate::time::{Dur, SimTime};
@@ -595,12 +594,6 @@ impl std::task::Wake for TaskWaker {
     }
 }
 
-/// Legacy string-trace callback: `(time, message)`. Kept for ad-hoc
-/// debugging via [`Sim::set_tracer`]; the structured, sink-backed path
-/// is the `elanib-trace` [`Tracer`](elanib_trace::Tracer) carried on
-/// [`Sim`].
-type TraceCallback = Box<dyn FnMut(SimTime, &str)>;
-
 struct Kernel {
     now: SimTime,
     /// Pending events in `(time, seq)` order; sequence numbers are
@@ -630,7 +623,6 @@ struct Kernel {
     current: Option<TaskId>,
     names: NameArena,
     live_tasks: usize,
-    rng: StdRng,
     events_processed: u64,
     /// Portion of `events_processed` already added to the
     /// thread-local counter (see [`thread_events`]).
@@ -638,7 +630,6 @@ struct Kernel {
     /// Portion of the wheel's cascade count already published to the
     /// metrics registry.
     cascades_reported: u64,
-    tracer: Option<TraceCallback>,
     /// Always-on ring of recently dispatched events (see
     /// [`FlightRing`]); feeds deadlock reports and panic isolation.
     flight: FlightRing,
@@ -801,7 +792,8 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 impl Sim {
-    /// Create a simulation whose RNG is seeded with `seed`.
+    /// Create a simulation. `seed` is the run key the trace and
+    /// metrics sinks file this run under; it changes no simulated value.
     pub fn new(seed: u64) -> Sim {
         Sim {
             k: Rc::new(RefCell::new(Kernel {
@@ -817,11 +809,9 @@ impl Sim {
                 current: None,
                 names: NameArena::default(),
                 live_tasks: 0,
-                rng: StdRng::seed_from_u64(seed),
                 events_processed: 0,
                 events_reported: 0,
                 cascades_reported: 0,
-                tracer: None,
                 flight: FlightRing::new(),
             })),
             wakes: Arc::new(WakeQueue::default()),
@@ -832,7 +822,8 @@ impl Sim {
     }
 
     /// Create a simulation with an explicit tracer (tests and tools
-    /// that want telemetry regardless of environment).
+    /// that want telemetry regardless of environment). `seed` is the
+    /// run key, as in [`Sim::new`].
     pub fn with_tracer(seed: u64, tr: Rc<elanib_trace::Tracer>) -> Sim {
         let mut sim = Sim::new(seed);
         sim.tr = Some(tr);
@@ -901,36 +892,6 @@ impl Sim {
     /// waker-recycling fast path (and its test).
     pub fn waker_allocs(&self) -> u64 {
         self.k.borrow().waker_allocs
-    }
-
-    /// Install a trace callback invoked by [`Sim::trace`].
-    pub fn set_tracer(&self, f: impl FnMut(SimTime, &str) + 'static) {
-        self.k.borrow_mut().tracer = Some(Box::new(f));
-    }
-
-    /// Emit a trace line if a tracer is installed. `msg` is built lazily
-    /// so tracing is free when disabled.
-    pub fn trace(&self, msg: impl FnOnce() -> String) {
-        let mut k = self.k.borrow_mut();
-        if k.tracer.is_some() {
-            let now = k.now;
-            let s = {
-                // Build the message outside the tracer borrow.
-                drop(k);
-                let s = msg();
-                k = self.k.borrow_mut();
-                s
-            };
-            if let Some(t) = k.tracer.as_mut() {
-                t(now, &s);
-            }
-        }
-    }
-
-    /// Run a closure with the kernel RNG. All model randomness must go
-    /// through here to preserve determinism.
-    pub fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
-        f(&mut self.k.borrow_mut().rng)
     }
 
     /// Spawn a task. It will first be polled when the kernel reaches the
@@ -1604,11 +1565,11 @@ mod tests {
         fn run_once(seed: u64) -> (SimTime, u64, u64) {
             let sim = Sim::new(seed);
             let checksum = Rc::new(Cell::new(0u64));
-            for i in 0..20 {
+            for i in 0..20u64 {
                 let s = sim.clone();
                 let ck = checksum.clone();
                 sim.spawn(format!("t{i}"), async move {
-                    let jitter = s.with_rng(|r| rand::Rng::gen_range(r, 1..100u64));
+                    let jitter = 1 + (i * 37 + 11) % 99;
                     ck.set(ck.get().wrapping_mul(31).wrapping_add(jitter));
                     s.sleep(Dur::from_ns(jitter)).await;
                     s.sleep(Dur::from_ns(jitter * 3)).await;
@@ -1618,9 +1579,9 @@ mod tests {
             (t, sim.events_processed(), checksum.get())
         }
         assert_eq!(run_once(42), run_once(42));
-        // Different seeds must draw a different jitter sequence (the
-        // *final* clock alone can collide: it is just the max jitter).
-        assert_ne!(run_once(42).2, run_once(43).2);
+        // The seed only keys the trace sinks: it changes nothing
+        // simulated.
+        assert_eq!(run_once(42), run_once(43));
     }
 
     #[test]
@@ -1826,22 +1787,6 @@ mod tests {
         assert!(tr.counter("wheel.cascades") >= 2);
         // One task-lifetime span per task was recorded.
         assert_eq!(tr.event_count(), 2);
-    }
-
-    #[test]
-    fn trace_callback_fires() {
-        let sim = Sim::new(1);
-        let lines = Rc::new(RefCell::new(Vec::new()));
-        let l = lines.clone();
-        sim.set_tracer(move |t, msg| l.borrow_mut().push(format!("{t} {msg}")));
-        let s = sim.clone();
-        sim.spawn("tr", async move {
-            s.sleep(Dur::from_us(1)).await;
-            s.trace(|| "hello".to_string());
-        });
-        sim.run().unwrap();
-        assert_eq!(lines.borrow().len(), 1);
-        assert!(lines.borrow()[0].contains("hello"));
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! # elanib-simcore — deterministic async discrete-event simulation
 //!
 //! The substrate under the entire InfiniBand / Elan-4 reproduction: a
-//! single-threaded, seeded, picosecond-resolution discrete-event kernel
+//! single-threaded, picosecond-resolution discrete-event kernel
 //! whose processes are ordinary Rust `async fn`s.
 //!
 //! ## Model
 //!
 //! * [`Sim`] owns the clock, the `(time, seq)`-ordered event heap, the
-//!   task slab, and the RNG. [`Sim::run`] drives everything to
+//!   task slab. [`Sim::run`] drives everything to
 //!   completion and reports deadlocks (a suspended task with no pending
 //!   event that could wake it) with task names.
 //! * Tasks suspend on [`Sim::sleep`], on [`sync::Flag`] /
-//!   [`sync::Mailbox`] / [`sync::Semaphore`], or on the bandwidth
+//!   [`sync::Mailbox`], or on the bandwidth
 //!   resources in [`resources`].
 //! * [`resources::FifoChannel`] models exclusively-occupied media
 //!   (network links, switch ports); [`resources::PsResource`] models
@@ -20,8 +20,9 @@
 //!
 //! ## Determinism
 //!
-//! Same seed + same program ⇒ identical event sequence, identical final
-//! clock. This is load-bearing for the reproduction: every figure in
+//! Same program ⇒ identical event sequence, identical final clock. The
+//! kernel draws no random numbers, and `Sim::new`'s seed only keys the
+//! run's trace and metrics output. This is load-bearing for the reproduction: every figure in
 //! the paper is regenerated from simulations that must be re-runnable
 //! bit-for-bit.
 //!
@@ -33,7 +34,7 @@
 //! remains single-threaded, owns all of its state (`Sim` is not even
 //! `Send` — a sim is constructed, run, and dropped entirely on one
 //! worker thread), and shares nothing with its siblings. A simulation's
-//! event sequence is a pure function of its seed and program, so the
+//! event sequence is a pure function of its program, so the
 //! numbers it produces are identical whether it runs alone, serially
 //! after other sims, or concurrently next to them. [`kernel::thread_events`]
 //! is the one piece of thread-aware state: a per-thread cumulative
@@ -72,6 +73,6 @@ pub use kernel::{
 };
 pub use profile::KernelProfiler;
 pub use resources::{ChannelStats, FifoChannel, PsResource};
-pub use sync::{race2, Flag, Mailbox, Race2, Semaphore};
+pub use sync::{race2, Flag, Mailbox, Race2};
 pub use time::{Dur, SimTime};
 pub use wheel::TimerWheel;

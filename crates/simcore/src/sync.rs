@@ -1,9 +1,9 @@
 //! Synchronization primitives for simulation tasks.
 //!
 //! These are the building blocks every model component uses to signal
-//! completions across tasks: a one-shot multi-waiter [`Flag`], an
-//! unbounded FIFO [`Mailbox`], and a counted [`Semaphore`] with FIFO
-//! admission.
+//! completions across tasks: a one-shot multi-waiter [`Flag`] and an
+//! unbounded FIFO [`Mailbox`], plus [`race2`] to wait on whichever of
+//! two futures finishes first.
 //!
 //! All of them wake waiters *at the current simulated time* (zero-delay
 //! wake): any latency a model wants must be expressed explicitly with
@@ -320,68 +320,6 @@ pub async fn race2<A, B>(a: impl Future<Output = A>, b: impl Future<Output = B>)
     .await
 }
 
-/// Counted semaphore with strict FIFO admission. Used to model finite
-/// hardware resources (send-queue slots, credits) where ordering
-/// fairness matters for determinism.
-#[derive(Clone)]
-pub struct Semaphore {
-    inner: Rc<RefCell<SemInner>>,
-}
-
-struct SemInner {
-    available: usize,
-    waiters: VecDeque<Flag>,
-}
-
-impl Semaphore {
-    pub fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            inner: Rc::new(RefCell::new(SemInner {
-                available: permits,
-                waiters: VecDeque::new(),
-            })),
-        }
-    }
-
-    pub fn available(&self) -> usize {
-        self.inner.borrow().available
-    }
-
-    /// Acquire one permit, waiting in FIFO order. Pair each call with
-    /// exactly one [`Semaphore::release`].
-    pub async fn acquire(&self) {
-        let flag = {
-            let mut i = self.inner.borrow_mut();
-            if i.available > 0 && i.waiters.is_empty() {
-                i.available -= 1;
-                return;
-            }
-            let f = Flag::new();
-            i.waiters.push_back(f.clone());
-            f
-        };
-        flag.wait().await;
-        // The releaser decremented `available` on our behalf when it
-        // set our flag, so nothing more to do.
-    }
-
-    /// Return one permit, handing it to the oldest waiter if any.
-    pub fn release(&self) {
-        let flag = {
-            let mut i = self.inner.borrow_mut();
-            if let Some(f) = i.waiters.pop_front() {
-                Some(f)
-            } else {
-                i.available += 1;
-                None
-            }
-        };
-        if let Some(f) = flag {
-            f.set();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,35 +461,5 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(winner.get(), 7);
-    }
-
-    #[test]
-    fn semaphore_limits_concurrency_fifo() {
-        let sim = Sim::new(1);
-        let sem = Semaphore::new(2);
-        let active = Rc::new(Cell::new(0u32));
-        let peak = Rc::new(Cell::new(0u32));
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..6 {
-            let (sm, a, p, o, s) = (
-                sem.clone(),
-                active.clone(),
-                peak.clone(),
-                order.clone(),
-                sim.clone(),
-            );
-            sim.spawn(format!("t{i}"), async move {
-                sm.acquire().await;
-                a.set(a.get() + 1);
-                p.set(p.get().max(a.get()));
-                o.borrow_mut().push(i);
-                s.sleep(Dur::from_us(10)).await;
-                a.set(a.get() - 1);
-                sm.release();
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(peak.get(), 2);
-        assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4, 5]);
     }
 }

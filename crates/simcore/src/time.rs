@@ -90,10 +90,6 @@ impl Dur {
     pub fn from_us_f64(us: f64) -> Dur {
         Dur::from_secs_f64(us * 1e-6)
     }
-    #[inline]
-    pub fn from_ns_f64(ns: f64) -> Dur {
-        Dur::from_secs_f64(ns * 1e-9)
-    }
     /// Time to move `bytes` at `bytes_per_sec` — the serialization-delay
     /// helper used throughout the fabric and host models.
     #[inline]

@@ -89,15 +89,6 @@ pub fn write_chrome_trace(path: &Path, traces: &[FinishedTrace]) -> io::Result<(
                     e.tid,
                     e.arg
                 )?,
-                Phase::Counter => write!(
-                    w,
-                    "{}{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{},\"args\":{{\"value\":{}}}}}",
-                    sep(&mut first),
-                    esc(&e.name),
-                    e.cat,
-                    e.tid,
-                    e.arg
-                )?,
             }
         }
     }

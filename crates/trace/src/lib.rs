@@ -142,8 +142,6 @@ pub enum Phase {
     Span,
     /// A point-in-time marker (`ph:"i"`).
     Instant,
-    /// A sampled counter value (`ph:"C"`).
-    Counter,
 }
 
 /// Interned-or-owned event name. Instrumentation points use `&'static
@@ -162,8 +160,7 @@ pub struct Event {
     pub tid: u32,
     pub cat: &'static str,
     pub name: Name,
-    /// Counter value for [`Phase::Counter`]; free argument (bytes,
-    /// depth) otherwise.
+    /// Free argument (bytes, depth).
     pub arg: i64,
 }
 
@@ -187,8 +184,8 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Build a tracer for a simulation seeded with `seed`, if the
-    /// current [`config`] enables any sink.
+    /// Build a tracer for the run keyed `seed`, if the current
+    /// [`config`] enables any sink.
     pub fn from_config(seed: u64) -> Option<Rc<Tracer>> {
         let cfg = config();
         cfg.enabled()
@@ -290,23 +287,6 @@ impl Tracer {
             name: name.into(),
             arg,
         });
-    }
-
-    /// Sampled counter-track value (renders as a filled graph in
-    /// Perfetto). Also folds into the metrics gauge of the same name.
-    pub fn counter_sample(&self, name: &'static str, ts_ps: u64, value: i64) {
-        if self.events_on {
-            self.push(Event {
-                ts_ps,
-                dur_ps: 0,
-                ph: Phase::Counter,
-                tid: 0,
-                cat: "counter",
-                name: Cow::Borrowed(name),
-                arg: value,
-            });
-        }
-        self.gauge(name, value);
     }
 
     /// Bump a monotonic counter.

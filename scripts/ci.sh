@@ -3,7 +3,9 @@
 #
 # Stages, in order:
 #
-#    1. build        release build of the whole workspace
+#    1. build        every dependency a workspace manifest declares is
+#                    named by the package's code (check_deps below),
+#                    then a release build of the whole workspace
 #    2. test         every workspace test (under the `fasttest` profile),
 #                    then the benchmark package's own tests (with
 #                    ELANIB_* cleared), so a workspace API change that
@@ -111,8 +113,42 @@ done
 
 # ---------------------------------------------------------------- stages
 
+# Every dependency a workspace manifest declares must be used: each
+# `[dependencies]` name (with `-` read as `_`) must appear as a word on
+# a non-comment line of the package's src/, each `[dev-dependencies]`
+# name in its src/, tests/, examples/ or benches/. An unused entry
+# fails with, e.g.:
+#   FAIL: crates/core/Cargo.toml declares elanib-mpi in [dependencies], but no code in src names elanib_mpi
+check_deps() {
+    local rc=0 manifest pkg section name dirs uses
+    for manifest in Cargo.toml crates/*/Cargo.toml; do
+        pkg="$(dirname "$manifest")"
+        while read -r section name; do
+            if [ "$section" = dependencies ]; then
+                dirs="src"
+            else
+                dirs="src tests examples benches"
+            fi
+            # Count rather than `grep -q`, whose early exit would fail
+            # the pipe under pipefail.
+            # shellcheck disable=SC2086
+            uses=$(cd "$pkg" && grep -rhw "${name//-/_}" $dirs 2>/dev/null \
+                | grep -cv '^[[:space:]]*//')
+            if [ "${uses:-0}" -eq 0 ]; then
+                echo "FAIL: $manifest declares $name in [$section], but no code in ${dirs// /, } names ${name//-/_}" >&2
+                rc=1
+            fi
+        done < <(awk '
+            /^\[/ { sec = $0; gsub(/[][]/, "", sec); next }
+            (sec == "dependencies" || sec == "dev-dependencies") && /^[A-Za-z0-9_-]+[ .=]/ {
+                n = $0; sub(/[ .=].*/, "", n); print sec, n
+            }' "$manifest")
+    done
+    return $rc
+}
+
 stage_build() {
-    cargo build --release --workspace --quiet
+    check_deps && cargo build --release --workspace --quiet
 }
 
 stage_test() {
