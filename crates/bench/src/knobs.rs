@@ -23,11 +23,10 @@ use elanib_simcore::trace::parse_flag;
 pub type Parser = fn(name: &str, v: Option<&str>) -> Result<(), String>;
 
 /// Every `ELANIB_*` variable, in name order.
-pub const KNOBS: [(&str, Parser); 8] = [
+pub const KNOBS: [(&str, Parser); 7] = [
     ("ELANIB_BACKEND", |_, v| parse_backend(v).map(drop)),
     ("ELANIB_FAULTS", |_, v| parse_env_plan(v).map(drop)),
     ("ELANIB_METRICS", flag),
-    ("ELANIB_PROFILE", flag),
     ("ELANIB_REGEN_TIMEOUT", secs),
     ("ELANIB_RESULTS_DIR", |_, _| Ok(())),
     ("ELANIB_SWEEP_THREADS", |_, v| {
@@ -111,11 +110,11 @@ mod tests {
             ("ELANIB_TRACE_MAX_EVENTS", "5000", false),
             ("ELANIB_TRACE_DIR", "x", false),
             ("ELANIB_FUZZ_BUDGET_SECS", "60", false),
+            ("ELANIB_PROFILE", "1", false),
             ("ELANIB_TRACE", "off", false),
             ("ELANIB_TRACE", "true", false),
             ("ELANIB_TRACE", "yes", false),
             ("ELANIB_METRICS", "on", false),
-            ("ELANIB_PROFILE", "2", false),
             ("ELANIB_SWEEP_THREADS", "0", false),
             ("ELANIB_SWEEP_THREADS", "abc", false),
             ("ELANIB_BACKEND", "nope", false),
@@ -126,7 +125,6 @@ mod tests {
             ("ELANIB_TRACE", "0", true),
             ("ELANIB_TRACE", "", true),
             ("ELANIB_METRICS", "1", true),
-            ("ELANIB_PROFILE", "0", true),
             ("ELANIB_SWEEP_THREADS", "2", true),
             ("ELANIB_BACKEND", "elan", true),
             ("ELANIB_FAULTS", "loss=1e-3,seed=7", true),

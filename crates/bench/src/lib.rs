@@ -64,13 +64,12 @@ fn record_regen(name: &str) {
 /// Print an exhibit header, render the table, and (optionally) write
 /// CSV into `$ELANIB_RESULTS_DIR/<name>.csv`.
 ///
-/// When tracing, metrics or profiling are enabled (`ELANIB_TRACE` /
-/// `ELANIB_METRICS` / `ELANIB_PROFILE`), this is also the sink point:
-/// every simulation that finished since the previous `emit` is flushed
-/// to `<name>.trace.json` / `<name>.metrics.{json,csv}` /
-/// `<name>.profile.json` in `ELANIB_RESULTS_DIR`, else the working
-/// directory. Flush notices go to stderr so stdout stays byte-stable
-/// run to run.
+/// When tracing or metrics are enabled (`ELANIB_TRACE` /
+/// `ELANIB_METRICS`), this is also the sink point: every simulation
+/// that finished since the previous `emit` is flushed to
+/// `<name>.trace.json` / `<name>.metrics.{json,csv}` in
+/// `ELANIB_RESULTS_DIR`, else the working directory. Flush notices go
+/// to stderr so stdout stays byte-stable run to run.
 ///
 /// Each call also reports the table's wall time since the previous
 /// `emit` (or `regen_begin`) as one `[regen <name>: ...]` stderr line.
@@ -102,11 +101,6 @@ pub fn emit(exhibit_id: &str, name: &str, table: &TextTable) {
         }
         if let Some(p) = &files.metrics_json {
             eprintln!("[metrics written to {}]", p.display());
-        }
-    }
-    if let Some(files) = elanib_simcore::profile::flush(name, dir) {
-        if let Some(p) = &files.profile_json {
-            eprintln!("[profile written to {}]", p.display());
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Regression test for the observability contract: turning on the
-//! kernel profiler (`ELANIB_PROFILE`) and the tracer must not change a
+//! kernel profiler (`profile::set_override`, as the repository
+//! benchmark's traced pass does) and the tracer must not change a
 //! single byte of any committed exhibit, at any sweep thread count.
 //!
 //! The profiler reads wall clocks and the tracer records events, but

@@ -589,7 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn profiler_histograms_identical_across_runs_and_thread_counts() {
+    fn profiler_counts_identical_across_runs_and_thread_counts() {
         use elanib_simcore::profile::ProfDet;
         use elanib_simcore::KernelProfiler;
         use std::sync::Mutex;
@@ -597,7 +597,7 @@ mod tests {
         // toy_sim's program, with an explicit per-sim profiler whose
         // deterministic half is merged into a local accumulator.
         let items: Vec<(u64, u32)> = (0..12).map(|i| (i, (i % 4) as u32 + 1)).collect();
-        let run = |threads: usize| -> String {
+        let run = |threads: usize| -> ProfDet {
             let agg = Mutex::new(ProfDet::default());
             sweep_on_pool(
                 &items,
@@ -618,13 +618,13 @@ mod tests {
                 threads,
                 None,
             );
-            agg.into_inner().unwrap().to_json()
+            agg.into_inner().unwrap()
         };
-        // Byte-identical across pool widths and across repeat runs: the
+        // Identical across pool widths and across repeat runs: the
         // deterministic half is a pure function of the grid, and the
         // merge is commutative, so worker scheduling cannot leak in.
         let base = run(1);
-        assert!(base.contains("\"poll\""));
+        assert!(base.count[0] > 0, "poll events counted");
         assert_eq!(base, run(2), "2-thread pool diverged");
         assert_eq!(base, run(3), "3-thread pool diverged");
         assert_eq!(base, run(1), "repeat run diverged");

@@ -381,19 +381,12 @@ impl Fabric {
             self.per_link_bytes().iter().filter(|&&b| b > 0).count() as u64,
         );
         tr.gauge("fabric.busiest_link_bytes", busiest as i64);
+        // The recovery counters (`fault.reroutes`, `ib.retransmits`, …)
+        // are added where each event happens; only the per-packet drop
+        // and corruption totals are published here.
         if let Some(fs) = &self.faults {
             let st = fs.stats();
-            for (key, v) in [
-                ("fault.drops", st.drops),
-                ("fault.corrupts", st.corrupts),
-                ("fault.reroutes", st.reroutes),
-                ("fault.link_down_hits", st.down_hits),
-                ("fault.outage_waits", st.outage_waits),
-                ("ib.retransmits", st.ib_retransmits),
-                ("ib.rnr_naks", st.rnr_naks),
-                ("ib.qp_errors", st.qp_errors),
-                ("elan.link_retries", st.elan_link_retries),
-            ] {
+            for (key, v) in [("fault.drops", st.drops), ("fault.corrupts", st.corrupts)] {
                 if v > 0 {
                     tr.add(key, v);
                 }

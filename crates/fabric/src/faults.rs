@@ -48,9 +48,6 @@ pub struct NicStall {
 }
 
 /// A complete, deterministic fault schedule for one fabric.
-///
-/// `Debug` output is part of the cache-key contract: two plans that
-/// render identically inject identical faults.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed folded into every probabilistic draw.

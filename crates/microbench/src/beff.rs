@@ -136,17 +136,6 @@ pub fn beff(network: Network, nodes: usize, ppn: usize, iters: u32) -> BeffPoint
     }
 }
 
-/// b_eff over a family of node counts (Figure 1(d)): one independent
-/// job per count, fanned across the parallel sweep engine.
-pub fn beff_sweep(
-    network: Network,
-    node_counts: &[usize],
-    ppn: usize,
-    iters: u32,
-) -> Vec<BeffPoint> {
-    elanib_core::sweep(node_counts, |&nodes| beff(network, nodes, ppn, iters))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

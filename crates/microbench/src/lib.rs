@@ -14,8 +14,9 @@
 //! * [`init_time`] — MPI_Init cost vs job size (the §3.3.1
 //!   connectionless argument)
 //!
-//! Each module exposes a single-point measurement and a sweep; the
-//! `elanib-bench` crate assembles them into the paper's figures.
+//! Each module exposes a single-point measurement; the `elanib-bench`
+//! crate fans the points across the sweep engine and assembles them
+//! into the paper's figures.
 
 pub mod beff;
 pub mod faultpoint;
@@ -25,10 +26,10 @@ pub mod pingpong;
 pub mod reuse;
 pub mod streaming;
 
-pub use beff::{beff, beff_sizes, beff_sweep, BeffPoint};
+pub use beff::{beff, beff_sizes, BeffPoint};
 pub use faultpoint::{fault_pingpong, outage_stream, FaultPoint};
 pub use incast::{incast, small_allreduce_us, IncastPoint};
 pub use init_time::{init_time, InitPoint};
-pub use pingpong::{figure1_sizes, latency_sweep, pingpong, PingPongPoint};
+pub use pingpong::{figure1_sizes, pingpong, PingPongPoint};
 pub use reuse::{pingpong_reuse, ReusePoint};
-pub use streaming::{streaming, streaming_sweep, StreamingPoint};
+pub use streaming::{streaming, StreamingPoint};

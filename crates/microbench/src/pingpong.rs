@@ -97,12 +97,6 @@ pub fn figure1_sizes() -> Vec<u64> {
     v
 }
 
-/// Sweep the full latency/bandwidth curve. Each size is an independent
-/// two-rank simulation, fanned across the parallel sweep engine.
-pub fn latency_sweep(network: Network, sizes: &[u64], iters: u32) -> Vec<PingPongPoint> {
-    elanib_core::sweep(sizes, |&b| pingpong(network, b, iters))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -82,12 +82,6 @@ pub fn streaming(network: Network, bytes: u64, count: u32) -> StreamingPoint {
     }
 }
 
-/// Sweep the streaming curve. Each size is an independent simulation,
-/// fanned across the parallel sweep engine.
-pub fn streaming_sweep(network: Network, sizes: &[u64], count: u32) -> Vec<StreamingPoint> {
-    elanib_core::sweep(sizes, |&b| streaming(network, b, count))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

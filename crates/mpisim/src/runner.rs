@@ -500,6 +500,70 @@ mod tests {
         }
     }
 
+    /// Every rank sends `rounds` 8 KiB messages to its right neighbour
+    /// and receives as many from its left one.
+    #[derive(Clone)]
+    struct Ring {
+        rounds: u32,
+    }
+
+    impl RankProgram for Ring {
+        #[allow(clippy::manual_async_fn)]
+        fn run<C: Communicator>(self, c: C) -> impl std::future::Future<Output = ()> + 'static {
+            async move {
+                let n = c.size();
+                let (right, left) = ((c.rank() + 1) % n, (c.rank() + n - 1) % n);
+                for _ in 0..self.rounds {
+                    crate::sendrecv(&c, right, 1, crate::empty(), 8192, left, 1).await;
+                }
+            }
+        }
+    }
+
+    /// A traced faulty run counts each recovery event once: the
+    /// tracer's counters equal the fabric's [`FaultStats`]. The outage
+    /// sits on a switch-to-switch link of the 8-node tree, so Elan's
+    /// adaptive routing detours around it.
+    #[test]
+    fn traced_fault_counters_equal_fault_stats() {
+        let plan = "loss=2e-2,corrupt=1e-2,outage=link11@0us+50us,seed=5";
+        let cfg = NetConfig {
+            faults: Some(elanib_fabric::FaultPlan::parse(plan).unwrap().into()),
+            ..NetConfig::default()
+        };
+        for network in Network::BOTH {
+            let tr = elanib_simcore::trace::Tracer::forced(4);
+            let sim = Sim::with_tracer(4, tr.clone());
+            let spec = JobSpec {
+                network,
+                nodes: 8,
+                ppn: 1,
+                seed: 4,
+            };
+            let st = run_scenario_on(&sim, spec, &cfg, None, Ring { rounds: 16 })
+                .unwrap()
+                .faults;
+            let recovered = match network {
+                Network::Elan4 => st.elan_link_retries.min(st.reroutes),
+                _ => st.ib_retransmits,
+            };
+            assert!(recovered > 0, "{network}: no recovery to count: {st:?}");
+            for (key, v) in [
+                ("fault.drops", st.drops),
+                ("fault.corrupts", st.corrupts),
+                ("fault.reroutes", st.reroutes),
+                ("fault.link_down_hits", st.down_hits),
+                ("fault.outage_waits", st.outage_waits),
+                ("ib.retransmits", st.ib_retransmits),
+                ("ib.rnr_naks", st.rnr_naks),
+                ("ib.qp_errors", st.qp_errors),
+                ("elan.link_retries", st.elan_link_retries),
+            ] {
+                assert_eq!(tr.counter(key), v, "{network}: {key}");
+            }
+        }
+    }
+
     #[test]
     fn run_job_on_both_networks() {
         for net in Network::BOTH {

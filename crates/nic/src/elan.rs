@@ -216,9 +216,6 @@ impl ElanNet {
     pub fn node_of(&self, rank: usize) -> &Rc<Node> {
         &self.ports[self.rank_ep[rank]].node
     }
-    pub fn endpoint_of(&self, rank: usize) -> usize {
-        self.rank_ep[rank]
-    }
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.rank_ep[a] == self.rank_ep[b]
     }

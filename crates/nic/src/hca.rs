@@ -191,10 +191,6 @@ impl<M: 'static> IbNet<M> {
         &self.ports[self.rank_ep[rank]].node
     }
 
-    pub fn endpoint_of(&self, rank: usize) -> usize {
-        self.rank_ep[rank]
-    }
-
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.rank_ep[a] == self.rank_ep[b]
     }

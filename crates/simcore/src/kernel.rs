@@ -671,9 +671,10 @@ pub struct Sim {
     /// instrumentation points pay exactly one null check when disabled
     /// and never contend with a kernel borrow.
     tr: Option<Rc<elanib_trace::Tracer>>,
-    /// Kernel profiler, `None` unless `ELANIB_PROFILE` enabled it at
-    /// construction. Same zero-cost-when-off discipline as `tr`: the
-    /// hot loop pays one null check per dispatch when disabled.
+    /// Kernel profiler, `None` unless [`crate::profile::set_override`]
+    /// enabled it at construction. Same zero-cost-when-off discipline
+    /// as `tr`: the hot loop pays one null check per dispatch when
+    /// disabled.
     prof: Option<Rc<KernelProfiler>>,
 }
 
@@ -836,13 +837,6 @@ impl Sim {
         let mut sim = Sim::new(seed);
         sim.prof = Some(prof);
         sim
-    }
-
-    /// The kernel profiler, if `ELANIB_PROFILE` (or
-    /// [`Sim::with_profiler`]) enabled it for this simulation.
-    #[inline]
-    pub fn profiler(&self) -> Option<&KernelProfiler> {
-        self.prof.as_deref()
     }
 
     /// Snapshot of the flight recorder: the most recent dispatched
@@ -1131,7 +1125,7 @@ impl Sim {
             //    dispatch target — future + waker for a poll, parked
             //    closure for a call — under the same kernel borrow as
             //    the pop: one borrow per event, not two.
-            let (action, tag, prof_sample) = {
+            let (action, tag) = {
                 let mut k = self.k.borrow_mut();
                 let next = match limit {
                     Some(lim) => match k.queue.pop_before(lim.as_ps()) {
@@ -1144,10 +1138,6 @@ impl Sim {
                     Some((at_ps, payload)) => {
                         let at = SimTime(at_ps);
                         debug_assert!(at >= k.now, "event time went backwards");
-                        // Occupancy at dispatch is the pre-pop depth;
-                        // the advance is how far the clock jumps.
-                        let sample =
-                            prof.map(|_| (k.queue.len() as u64 + 1, at_ps - k.now.as_ps()));
                         k.now = at;
                         k.events_processed += 1;
                         k.flight.record(at_ps, &payload);
@@ -1161,7 +1151,7 @@ impl Sim {
                             },
                             EventPayload::Call(i) => Action::Call(k.take_call(i)),
                         };
-                        (action, tag, sample)
+                        (action, tag)
                     }
                     None => return None,
                 }
@@ -1171,11 +1161,9 @@ impl Sim {
                 Action::Call(slot) => slot.run(self),
                 Action::Skip => {}
             }
-            if let (Some(p), Some(m), Some((occupancy, adv_ps))) =
-                (prof, mark.as_mut(), prof_sample)
-            {
+            if let (Some(p), Some(m)) = (prof, mark.as_mut()) {
                 let now = Instant::now();
-                p.event(tag, adv_ps, occupancy, now.duration_since(*m));
+                p.event(tag, now.duration_since(*m));
                 *m = now;
             }
         }
@@ -1267,15 +1255,11 @@ impl Sim {
         k.events_reported = k.events_processed;
         let cascades = k.queue.cascades() - k.cascades_reported;
         k.cascades_reported = k.queue.cascades();
-        let (total_cascades, high_water) = (k.queue.cascades(), k.queue.high_water() as u64);
         THREAD_EVENTS.with(|c| c.set(c.get() + delta));
         drop(k);
         if let Some(tr) = &self.tr {
             tr.add("sim.events", delta);
             tr.add("wheel.cascades", cascades);
-        }
-        if let Some(p) = &self.prof {
-            p.note_wheel(total_cascades, high_water);
         }
     }
 
@@ -1760,10 +1744,10 @@ mod tests {
         assert_eq!(snap.events(), events, "every dispatch is counted");
         assert!(snap.det.count[0] > 0, "poll events attributed");
         assert!(snap.det.count[2] > 0, "call events attributed");
-        // Simulated-time histograms are functions of the event
-        // schedule only — byte-identical across runs.
+        // Counts are functions of the event schedule only — identical
+        // across runs.
         let (_, snap2) = run();
-        assert_eq!(snap.det.to_json(), snap2.det.to_json());
+        assert_eq!(snap.det, snap2.det);
     }
 
     #[test]

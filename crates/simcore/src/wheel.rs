@@ -102,7 +102,6 @@ pub struct TimerWheel<T> {
     scratch: Vec<Entry<T>>,
     next_seq: u64,
     len: usize,
-    high_water: usize,
     cascaded: u64,
 }
 
@@ -116,7 +115,6 @@ impl<T> TimerWheel<T> {
             scratch: Vec::new(),
             next_seq: 0,
             len: 0,
-            high_water: 0,
             cascaded: 0,
         }
     }
@@ -133,12 +131,6 @@ impl<T> TimerWheel<T> {
     /// of how much re-filing the workload's delay distribution causes).
     pub fn cascades(&self) -> u64 {
         self.cascaded
-    }
-
-    /// High-water mark of pending events — how deep the wheel got over
-    /// its lifetime (monotone; the profiler's occupancy ceiling).
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// Level an expiry files at, given the current anchor: the level
@@ -185,9 +177,6 @@ impl<T> TimerWheel<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        if self.len > self.high_water {
-            self.high_water = self.len;
-        }
         if at == self.anchor {
             // Zero-delay event while the anchor bucket drains: seq is
             // larger than everything buffered, so FIFO order is (at,
@@ -538,20 +527,6 @@ mod tests {
         assert_eq!(w.len(), 2);
         drain(&mut w);
         assert_eq!(w.len(), 0);
-    }
-
-    #[test]
-    fn high_water_tracks_peak_occupancy() {
-        let mut w = TimerWheel::new();
-        assert_eq!(w.high_water(), 0);
-        for i in 0..5u32 {
-            w.push(10 + i as u64, i);
-        }
-        assert_eq!(w.high_water(), 5);
-        drain(&mut w);
-        assert_eq!(w.high_water(), 5, "high water is monotone");
-        w.push(1 << 20, 9);
-        assert_eq!(w.high_water(), 5);
     }
 
     #[test]

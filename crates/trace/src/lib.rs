@@ -100,7 +100,7 @@ pub fn parse_flag(name: &str, v: Option<&str>) -> Result<bool, String> {
 /// [`parse_flag`] refuses panics with its message; the binaries check
 /// every variable before any simulation starts, so only a library
 /// caller reaches that.
-pub fn env_flag(name: &str) -> bool {
+fn env_flag(name: &str) -> bool {
     parse_flag(name, std::env::var(name).ok().as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -12,9 +12,8 @@
 # Environment:
 #   ELANIB_SWEEP_THREADS  sweep-engine pool width (default: all cores;
 #                         results are identical at any setting)
-#   ELANIB_TRACE / ELANIB_METRICS / ELANIB_PROFILE  =1 also emits
-#                         Chrome traces / metrics summaries / kernel
-#                         profiles per exhibit into the output
+#   ELANIB_TRACE / ELANIB_METRICS  =1 also emits Chrome traces /
+#                         metrics summaries per exhibit into the output
 #                         directory (see EXPERIMENTS.md); the CSV diff
 #                         must still pass with these set
 #   ELANIB_FAULTS         fault plan for every exhibit (CSVs then differ
