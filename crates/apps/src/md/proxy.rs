@@ -341,4 +341,19 @@ mod tests {
         assert!(e[1].efficiency >= i[1].efficiency - 0.01);
         assert!(e[1].efficiency > 0.5 && i[1].efficiency > 0.5);
     }
+
+    #[test]
+    fn roce_md_step_is_finite_and_no_faster_than_ib() {
+        // Fig2's smallest point that crosses the network, and its largest.
+        for (nodes, ppn) in [(2, 1), (32, 2)] {
+            let ib = md_step_time(Network::InfiniBand, ljs(), nodes, ppn);
+            for mode in elanib_mpi::RoceMode::ALL {
+                let t = md_step_time(Network::RoceV2(mode), ljs(), nodes, ppn);
+                assert!(
+                    t.is_finite() && t >= ib,
+                    "{mode} at {nodes}x{ppn}: {t} s/step vs IB {ib} s/step"
+                );
+            }
+        }
+    }
 }

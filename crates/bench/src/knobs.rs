@@ -15,7 +15,6 @@ use std::path::PathBuf;
 
 use elanib_core::sweep::parse_sweep_threads;
 use elanib_fabric::faults::parse_env_plan;
-use elanib_mpi::parse_backend;
 use elanib_simcore::trace::parse_flag;
 
 /// Vets the value of variable `name` (`None` = unset); the error names
@@ -23,8 +22,7 @@ use elanib_simcore::trace::parse_flag;
 pub type Parser = fn(name: &str, v: Option<&str>) -> Result<(), String>;
 
 /// Every `ELANIB_*` variable, in name order.
-pub const KNOBS: [(&str, Parser); 7] = [
-    ("ELANIB_BACKEND", |_, v| parse_backend(v).map(drop)),
+pub const KNOBS: [(&str, Parser); 6] = [
     ("ELANIB_FAULTS", |_, v| parse_env_plan(v).map(drop)),
     ("ELANIB_METRICS", flag),
     ("ELANIB_REGEN_TIMEOUT", secs),
@@ -111,13 +109,13 @@ mod tests {
             ("ELANIB_TRACE_DIR", "x", false),
             ("ELANIB_FUZZ_BUDGET_SECS", "60", false),
             ("ELANIB_PROFILE", "1", false),
+            ("ELANIB_BACKEND", "elan", false),
             ("ELANIB_TRACE", "off", false),
             ("ELANIB_TRACE", "true", false),
             ("ELANIB_TRACE", "yes", false),
             ("ELANIB_METRICS", "on", false),
             ("ELANIB_SWEEP_THREADS", "0", false),
             ("ELANIB_SWEEP_THREADS", "abc", false),
-            ("ELANIB_BACKEND", "nope", false),
             ("ELANIB_FAULTS", "bogus", false),
             ("ELANIB_FAULTS", "loss=2", false),
             ("ELANIB_REGEN_TIMEOUT", "5m", false),
@@ -126,7 +124,6 @@ mod tests {
             ("ELANIB_TRACE", "", true),
             ("ELANIB_METRICS", "1", true),
             ("ELANIB_SWEEP_THREADS", "2", true),
-            ("ELANIB_BACKEND", "elan", true),
             ("ELANIB_FAULTS", "loss=1e-3,seed=7", true),
             ("ELANIB_FAULTS", "", true),
             ("ELANIB_FAULTS", "loss=0,seed=1", true),

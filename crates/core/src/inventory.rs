@@ -135,7 +135,7 @@ pub const EXHIBITS: &[Exhibit] = &[
         id: "RoCE",
         title: "RoCEv2 congestion control vs native IB (extension)",
         workload: "incast 2-32 nodes + 8 B allreduce; PFC/DCQCN/hybrid",
-        modules: "elanib-nic::{backend,roce}, elanib-microbench::incast",
+        modules: "elanib-nic::roce, elanib-microbench::incast",
         bin: "roce",
     },
 ];

@@ -36,8 +36,6 @@ const TAG_ALLGATHER: i64 = 6_000;
 const TAG_BARRIER: i64 = 1_000;
 const TAG_BCAST: i64 = 2_000;
 const TAG_REDUCE: i64 = 3_000;
-const TAG_GATHER: i64 = 4_000;
-const TAG_ALLTOALL: i64 = 5_000;
 
 async fn coll_send<C: Communicator>(c: &C, dst: usize, tag: i64, data: Payload, bytes: u64) {
     let r = c
@@ -216,32 +214,6 @@ pub async fn allreduce<C: Communicator>(c: &C, op: Op, x: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Gather one payload per rank to `root` (returned in rank order).
-pub async fn gather<C: Communicator>(
-    c: &C,
-    root: usize,
-    data: Payload,
-    bytes: u64,
-) -> Option<Vec<Payload>> {
-    let n = c.size();
-    let t0 = coll_start(c);
-    let out = if c.rank() == root {
-        let mut out: Vec<Option<Payload>> = vec![None; n];
-        out[root] = Some(data);
-        for _ in 0..n - 1 {
-            let r = c.irecv_full(None, Some(TAG_GATHER), CTX_COLL, 0).await;
-            let m = c.wait(r).await.unwrap();
-            out[m.src] = Some(m.data);
-        }
-        Some(out.into_iter().map(|o| o.expect("gather slot")).collect())
-    } else {
-        coll_send(c, root, TAG_GATHER, data, bytes).await;
-        None
-    };
-    coll_end(c, "gather", t0);
-    out
-}
-
 /// Allgather: every rank contributes one payload; all ranks return the
 /// full vector indexed by rank. Recursive doubling for power-of-two
 /// sizes (log₂ n rounds with doubling block sizes — the pattern NPB CG
@@ -317,41 +289,4 @@ pub async fn allgather<C: Communicator>(c: &C, mine: Payload, per_rank_bytes: u6
     out.into_iter()
         .map(|o| o.expect("allgather slot missing"))
         .collect()
-}
-
-/// Pairwise-exchange all-to-all: every rank sends `per_peer_bytes` to
-/// every other rank. Returns the received payloads indexed by source.
-pub async fn alltoall<C: Communicator>(
-    c: &C,
-    payloads: Vec<Payload>,
-    per_peer_bytes: u64,
-) -> Vec<Payload> {
-    let n = c.size();
-    assert_eq!(payloads.len(), n);
-    let t0 = coll_start(c);
-    let me = c.rank();
-    let mut out: Vec<Payload> = vec![empty(); n];
-    out[me] = payloads[me].clone();
-    for step in 1..n {
-        let dst = (me + step) % n;
-        let src = (me + n - step) % n;
-        let rr = c
-            .irecv_full(Some(src), Some(TAG_ALLTOALL + step as i64), CTX_COLL, 0)
-            .await;
-        let sr = c
-            .isend_full(
-                dst,
-                TAG_ALLTOALL + step as i64,
-                CTX_COLL,
-                payloads[dst].clone(),
-                per_peer_bytes,
-                0,
-            )
-            .await;
-        let m = c.wait(rr).await.unwrap();
-        out[src] = m.data;
-        c.wait(sr).await;
-    }
-    coll_end(c, "alltoall", t0);
-    out
 }

@@ -22,8 +22,8 @@
 //! * tag and source wildcards, non-overtaking matching order
 //! * communicator contexts (used internally to isolate collectives)
 //! * collectives in [`collectives`]: barrier, broadcast, reduce,
-//!   allreduce, gather, all-to-all — implemented over point-to-point
-//!   exactly as the 2004-era MPICH derivatives did
+//!   allreduce, allgather — implemented over point-to-point exactly as
+//!   the 2004-era MPICH derivatives did
 //!
 //! ## Timing vs. data
 //!
@@ -41,16 +41,14 @@ use elanib_simcore::Sim;
 
 pub mod collectives;
 pub mod runner;
-pub mod subcomm;
 pub mod tports;
 pub mod verbs;
 
 pub use elanib_nic::{Payload, RoceMode, RoceParams};
 pub use runner::{
-    parse_backend, run_job, run_job_configured, run_scenario, run_scenario_on, JobSpec, NetConfig,
-    Network, RankProgram, ScenarioRun,
+    run_job, run_job_configured, run_scenario, run_scenario_on, JobSpec, NetConfig, Network,
+    RankProgram, ScenarioRun,
 };
-pub use subcomm::SubComm;
 
 /// Aggregate run statistics from a world (see `IbWorld::stats` /
 /// `ElanWorld::stats`).
@@ -127,8 +125,7 @@ pub trait Communicator: Clone + 'static {
     /// Hardware-assisted full-communicator barrier, if this transport
     /// offers one (QsNet's barrier network). Returns `true` if the
     /// barrier was performed in hardware; `false` means the caller must
-    /// fall back to the software algorithm. Only meaningful on the
-    /// world communicator (sub-communicators always fall back).
+    /// fall back to the software algorithm.
     fn hw_barrier(&self) -> impl Future<Output = bool> {
         async { false }
     }

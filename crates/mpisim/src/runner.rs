@@ -2,8 +2,8 @@
 //! network and get the final simulated time back.
 //!
 //! [`run_job`]-family launches run under a fixed in-kernel watchdog of
-//! 10 000 simulated seconds, and `ELANIB_BACKEND` (parsed by
-//! [`parse_backend`]) can force every launch onto one network.
+//! 10 000 simulated seconds. The [`Network`] in the [`JobSpec`] is the
+//! caller's choice and nothing overrides it.
 
 use elanib_fabric::FaultStats;
 use elanib_nic::{ElanParams, HcaParams, RoceMode, RoceParams};
@@ -41,7 +41,7 @@ impl Network {
     pub const BOTH: [Network; 2] = [Network::InfiniBand, Network::Elan4];
 
     /// Every modelled interconnect, including the RoCEv2 extension
-    /// modes (the CI backend matrix and the fuzzer draw from here).
+    /// modes (the mpisim contract tests iterate these).
     pub const ALL: [Network; 5] = [
         Network::InfiniBand,
         Network::Elan4,
@@ -49,31 +49,6 @@ impl Network {
         Network::RoceV2(RoceMode::Dcqcn),
         Network::RoceV2(RoceMode::Hybrid),
     ];
-
-    /// The registry name of this network (the `ELANIB_BACKEND` names).
-    pub fn name(self) -> &'static str {
-        match self {
-            Network::InfiniBand => "hca",
-            Network::Elan4 => "elan",
-            Network::RoceV2(RoceMode::Pfc) => "roce-pfc",
-            Network::RoceV2(RoceMode::Dcqcn) => "roce-dcqcn",
-            Network::RoceV2(RoceMode::Hybrid) => "roce-hybrid",
-        }
-    }
-
-    /// Parse a registry name, trimmed and case-insensitive;
-    /// `ib`/`infiniband` alias `hca`, `elan4`/`quadrics` alias `elan`,
-    /// and a bare `roce` means the hybrid (deployed-practice) mode.
-    pub fn parse(s: &str) -> Option<Network> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "hca" | "ib" | "infiniband" => Some(Network::InfiniBand),
-            "elan" | "elan4" | "quadrics" => Some(Network::Elan4),
-            "roce" | "roce-hybrid" => Some(Network::RoceV2(RoceMode::Hybrid)),
-            "roce-pfc" => Some(Network::RoceV2(RoceMode::Pfc)),
-            "roce-dcqcn" => Some(Network::RoceV2(RoceMode::Dcqcn)),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Network {
@@ -162,8 +137,8 @@ pub struct ScenarioRun {
     /// Fault-injection and recovery totals from the fabric.
     pub faults: FaultStats,
     /// Per-link byte totals, in link order — the determinism invariant
-    /// compares these byte-for-byte across traced/profiled and
-    /// cold/warm-cache replays.
+    /// compares these byte-for-byte between a fuzz scenario's base run
+    /// and its plain, traced or profiled replay.
     pub link_bytes: Vec<u64>,
 }
 
@@ -181,37 +156,6 @@ pub fn run_scenario<P: RankProgram>(
     run_scenario_on(&Sim::new(spec.seed), spec, cfg, budget, program)
 }
 
-/// `ELANIB_BACKEND`: force every scenario onto one backend by registry
-/// name (`hca`/`ib`, `elan`, `roce`, `roce-pfc`, `roce-dcqcn`,
-/// `roce-hybrid`) regardless of what the harness asked for. This is
-/// the CI backend-matrix hook: the same exhibit binary re-runs under
-/// each backend without recompilation.
-fn backend_override(spec: JobSpec) -> JobSpec {
-    apply_backend(spec, std::env::var("ELANIB_BACKEND").ok().as_deref())
-}
-
-/// Parse an `ELANIB_BACKEND` value: unset is no override, a registry
-/// name is that network, anything else is an error naming the
-/// variable, the value and the known names.
-pub fn parse_backend(name: Option<&str>) -> Result<Option<Network>, String> {
-    match name {
-        None => Ok(None),
-        Some(name) => Network::parse(name).map(Some).ok_or_else(|| {
-            format!(
-                "ELANIB_BACKEND={name:?} is not a backend; known: {}",
-                Network::ALL.map(Network::name).join(", ")
-            )
-        }),
-    }
-}
-
-fn apply_backend(spec: JobSpec, name: Option<&str>) -> JobSpec {
-    match parse_backend(name).unwrap_or_else(|e| panic!("{e}")) {
-        Some(network) => JobSpec { network, ..spec },
-        None => spec,
-    }
-}
-
 /// [`run_scenario`] on a caller-built kernel — the hook for harnesses
 /// that pin a tracer or profiler regardless of environment
 /// ([`Sim::with_tracer`] / [`Sim::with_profiler`]): the fuzzer's
@@ -225,7 +169,6 @@ pub fn run_scenario_on<P: RankProgram>(
     budget: Option<SimTime>,
     program: P,
 ) -> Result<ScenarioRun, SimError> {
-    let spec = backend_override(spec);
     if let Some(tr) = sim.tracer() {
         tr.set_label(format!(
             "{} {}n x {}ppn",
@@ -379,41 +322,6 @@ mod tests {
             assert_eq!(out.get(), 8.0, "{mode} allreduce result");
             assert!(t > SimTime::ZERO);
         }
-    }
-
-    #[test]
-    fn backend_override_maps_registry_names_onto_networks() {
-        let spec = JobSpec {
-            network: Network::InfiniBand,
-            nodes: 2,
-            ppn: 1,
-            seed: 0,
-        };
-        assert_eq!(apply_backend(spec, None).network, Network::InfiniBand);
-        // Round trip: every modelled network survives its own name.
-        for net in Network::ALL {
-            assert_eq!(Network::parse(net.name()), Some(net));
-            assert_eq!(apply_backend(spec, Some(net.name())).network, net);
-        }
-        for (alias, net) in [
-            ("ib", Network::InfiniBand),
-            ("InfiniBand", Network::InfiniBand),
-            (" hca ", Network::InfiniBand),
-            ("elan4", Network::Elan4),
-            ("QUADRICS", Network::Elan4),
-            ("roce", Network::RoceV2(RoceMode::Hybrid)),
-            ("Roce-PFC", Network::RoceV2(RoceMode::Pfc)),
-        ] {
-            assert_eq!(apply_backend(spec, Some(alias)).network, net, "{alias:?}");
-        }
-        assert_eq!(Network::parse("myrinet"), None);
-        let err = std::panic::catch_unwind(|| apply_backend(spec, Some("myrinet")))
-            .expect_err("an unknown backend name must be refused");
-        assert_eq!(
-            panic_text(&*err),
-            "ELANIB_BACKEND=\"myrinet\" is not a backend; known: \
-             hca, elan, roce-pfc, roce-dcqcn, roce-hybrid"
-        );
     }
 
     /// Rank 0 sends one 4 KiB message to rank 1.

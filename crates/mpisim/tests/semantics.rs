@@ -8,7 +8,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use elanib_mpi::collectives::{allreduce, alltoall, barrier, bcast, gather, reduce, Op};
+use elanib_mpi::collectives::{allreduce, barrier, bcast, reduce, Op};
 use elanib_mpi::tports::ElanWorld;
 use elanib_mpi::verbs::IbWorld;
 use elanib_mpi::{
@@ -91,17 +91,6 @@ pub trait CommAny {
         data: elanib_mpi::Payload,
         bytes: u64,
     ) -> std::pin::Pin<Box<dyn std::future::Future<Output = elanib_mpi::Payload> + 'a>>;
-    fn gather_b<'a>(
-        &'a self,
-        root: usize,
-        data: elanib_mpi::Payload,
-        bytes: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Option<Vec<elanib_mpi::Payload>>> + 'a>>;
-    fn alltoall_b<'a>(
-        &'a self,
-        payloads: Vec<elanib_mpi::Payload>,
-        per_peer: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Vec<elanib_mpi::Payload>> + 'a>>;
     fn reduce_b<'a>(
         &'a self,
         root: usize,
@@ -162,22 +151,6 @@ impl<C: Communicator> CommAny for C {
         bytes: u64,
     ) -> std::pin::Pin<Box<dyn std::future::Future<Output = elanib_mpi::Payload> + 'a>> {
         Box::pin(bcast(self, root, data, bytes))
-    }
-    fn gather_b<'a>(
-        &'a self,
-        root: usize,
-        data: elanib_mpi::Payload,
-        bytes: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Option<Vec<elanib_mpi::Payload>>> + 'a>>
-    {
-        Box::pin(gather(self, root, data, bytes))
-    }
-    fn alltoall_b<'a>(
-        &'a self,
-        payloads: Vec<elanib_mpi::Payload>,
-        per_peer: u64,
-    ) -> std::pin::Pin<Box<dyn std::future::Future<Output = Vec<elanib_mpi::Payload>> + 'a>> {
-        Box::pin(alltoall(self, payloads, per_peer))
     }
     fn reduce_b<'a>(
         &'a self,
@@ -396,33 +369,6 @@ fn reduce_to_root() {
             assert_eq!(r.unwrap(), vec![6.0]);
         } else {
             assert!(r.is_none());
-        }
-    });
-}
-
-#[test]
-fn gather_collects_in_rank_order() {
-    run_all(4, 1, |c| async move {
-        let me = c.rank();
-        let out = c.gather_b(0, Payload::from([me as f64 * 10.0]), 8).await;
-        if me == 0 {
-            let v: Vec<f64> = out.unwrap().iter().map(|b| b[0]).collect();
-            assert_eq!(v, vec![0.0, 10.0, 20.0, 30.0]);
-        }
-    });
-}
-
-#[test]
-fn alltoall_exchanges_everything() {
-    run_all(4, 1, |c| async move {
-        let me = c.rank();
-        let n = c.size();
-        let payloads: Vec<_> = (0..n)
-            .map(|d| Payload::from([(me * 100 + d) as f64]))
-            .collect();
-        let got = c.alltoall_b(payloads, 8).await;
-        for (src, b) in got.iter().enumerate() {
-            assert_eq!(b[0], (src * 100 + me) as f64);
         }
     });
 }

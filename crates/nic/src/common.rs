@@ -47,15 +47,6 @@ impl SerialEngine {
         end
     }
 
-    /// Claim the engine starting no earlier than `earliest`.
-    pub fn next_slot_from(&self, earliest: SimTime, cost: Dur) -> SimTime {
-        let start = earliest.max_t(self.busy_until.get());
-        let end = start + cost;
-        self.busy_until.set(end);
-        self.jobs.set(self.jobs.get() + 1);
-        end
-    }
-
     pub fn jobs_served(&self) -> u64 {
         self.jobs.get()
     }
@@ -74,15 +65,6 @@ mod tests {
         assert_eq!(a, SimTime::ZERO + Dur::from_us(1));
         assert_eq!(b, SimTime::ZERO + Dur::from_us(2));
         assert_eq!(e.jobs_served(), 2);
-    }
-
-    #[test]
-    fn serial_engine_idle_gap() {
-        let _sim = Sim::new(1);
-        let e = SerialEngine::new();
-        let _ = e.next_slot_from(SimTime::ZERO + Dur::from_us(5), Dur::from_us(1));
-        let b = e.next_slot_from(SimTime::ZERO + Dur::from_us(10), Dur::from_us(1));
-        assert_eq!(b, SimTime::ZERO + Dur::from_us(11));
     }
 
     #[test]

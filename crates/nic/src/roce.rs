@@ -53,8 +53,8 @@ pub enum RoceMode {
 impl RoceMode {
     pub const ALL: [RoceMode; 3] = [RoceMode::Pfc, RoceMode::Dcqcn, RoceMode::Hybrid];
 
-    /// Short lowercase label, as used in `ELANIB_BACKEND=roce-<mode>`
-    /// and the fuzz repro files.
+    /// Short lowercase label, as used in the fuzz repro files
+    /// (`roce = "pfc|dcqcn|hybrid"`) and by `Display`.
     pub fn label(self) -> &'static str {
         match self {
             RoceMode::Pfc => "pfc",

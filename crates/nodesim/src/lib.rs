@@ -93,12 +93,6 @@ impl Node {
         self.pcix.transfer(sim, bytes).await;
     }
 
-    /// DMA without the setup cost, for engines that batch many
-    /// back-to-back bus bursts under one transaction.
-    pub async fn dma_no_setup(&self, sim: &Sim, bytes: u64) {
-        self.pcix.transfer(sim, bytes).await;
-    }
-
     /// Start a PCI-X DMA immediately and return its completion flag —
     /// lets a NIC engine overlap source DMA, wire transfer, and
     /// destination DMA from a single task.
@@ -188,15 +182,19 @@ mod tests {
         for i in 0..2 {
             let (n, s, e) = (node.clone(), sim.clone(), ends.clone());
             sim.spawn(format!("t{i}"), async move {
-                n.dma_no_setup(&s, 950_000).await;
+                n.dma(&s, 950_000).await;
                 e.borrow_mut().push(s.now().as_us_f64());
             });
         }
         sim.run().unwrap();
+        // Both set up in parallel, then split the bus: 2 ms of shared
+        // bus time after the 0.45 µs setup.
+        let expect = 2000.0 + 0.45;
+        assert_eq!(ends.borrow().len(), 2);
         for t in ends.borrow().iter() {
             assert!(
-                (t - 2000.0).abs() < 0.01,
-                "both should finish at 2 ms, got {t}"
+                (t - expect).abs() < 0.01,
+                "both should finish at {expect} µs, got {t}"
             );
         }
     }

@@ -16,36 +16,26 @@
 #                    CSVs exactly (stale or hand-edited exhibits fail
 #                    fast, before any simulation runs)
 #    6. regen        exhibit-determinism smoke (regen_all.sh --smoke)
-#    7. backend-matrix
-#                    one-network-per-run gate: the fig2 smoke exhibit
-#                    reruns under every Network registry name via
-#                    ELANIB_BACKEND (hca, elan, roce-pfc, roce-dcqcn,
-#                    roce-hybrid). The two paper networks must
-#                    reproduce their committed fig2 columns byte for
-#                    byte even when routed through the override
-#                    machinery; the three RoCE modes must complete
-#                    cleanly. Per-backend wall times land in
-#                    ci_summary.json
-#    8. conformance  paper-shape validation: expectations/*.toml vs the
+#    7. conformance  paper-shape validation: expectations/*.toml vs the
 #                    committed results/ and exhibit coverage
-#    9. bench-counts deterministic per-layer count gate: one traced run
+#    8. bench-counts deterministic per-layer count gate: one traced run
 #                    of the repository benchmark (BENCHMARK.json's
 #                    command) per workload at seed 0, compared by the
 #                    benchmark's own --compare with the committed
 #                    scripts/benchmark_counts.jsonl; any differing
 #                    event, wake, task, MPI, NIC or fabric count fails
-#   10. report       perf dashboard: elanib-report renders stage 9's
+#    9. report       perf dashboard: elanib-report renders stage 8's
 #                    benchmark records and the conformance verdict into
 #                    perf_report.md / perf_report.json (renders only)
-#   11. perf-gate    kernelbench alone: it fails the stage when its
+#   10. perf-gate    kernelbench alone: it fails the stage when its
 #                    calls/pingpong/model scenarios allocate more per
 #                    event than their deterministic budgets, or when any
 #                    scenario runs more than 2x below its best events/s
 #                    on record
-#   12. faults       fault-matrix smoke (loss + outage plans terminate)
-#   13. zero-fault   a rate-zero fault plan regenerates every CSV
+#   11. faults       fault-matrix smoke (loss + outage plans terminate)
+#   12. zero-fault   a rate-zero fault plan regenerates every CSV
 #                    byte-identically (full regen_all.sh)
-#   14. fuzz         time-boxed property fuzz: seeded random scenarios
+#   13. fuzz         time-boxed property fuzz: seeded random scenarios
 #                    through both stacks with every cross-cutting
 #                    invariant checked (elanib-fuzz); a violation
 #                    fails the stage and prints the shrunk repro path
@@ -65,7 +55,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES="build test fmt clippy manifest regen backend-matrix conformance bench-counts report perf-gate faults zero-fault fuzz"
+STAGES="build test fmt clippy manifest regen conformance bench-counts report perf-gate faults zero-fault fuzz"
 QUICK_STAGES="build test clippy"
 
 MODE="full"
@@ -198,53 +188,6 @@ stage_regen() {
     scripts/regen_all.sh --smoke
 }
 
-stage_backend-matrix() {
-    # One fig2 smoke run per Network registry name, forced through the
-    # ELANIB_BACKEND override. Every run simulates from scratch, so an
-    # overridden run leaves no state behind. fig2's CSV carries IB columns
-    # (2,3,6,7) and Elan columns (4,5,8,9); forcing hca must reproduce
-    # the committed IB columns byte for byte, forcing elan the Elan
-    # columns — the proof that the override plumbing is observationally
-    # invisible for the paper networks. The
-    # RoCE modes have no committed fig2 numbers; completing cleanly is
-    # their gate (their quantitative claims live in expectations/
-    # roce.toml).
-    local b rc t0 t1
-    BM_NAMES=()
-    BM_WALLS=()
-    for b in hca elan roce-pfc roce-dcqcn roce-hybrid; do
-        mkdir -p "$scratch/bm-$b"
-        t0=$(date +%s%N)
-        rc=0
-        ELANIB_RESULTS_DIR="$scratch/bm-$b" ELANIB_BACKEND="$b" \
-            timeout "$wd" ./target/release/fig2 > /dev/null 2> "$scratch/bm-$b.log" || rc=$?
-        t1=$(date +%s%N)
-        if [ "$rc" -ne 0 ]; then
-            echo "FAIL: fig2 under ELANIB_BACKEND=$b (status $rc)" >&2
-            cat "$scratch/bm-$b.log" >&2
-            return 1
-        fi
-        [ -s "$scratch/bm-$b/fig2_ljs.csv" ] \
-            || { echo "FAIL: ELANIB_BACKEND=$b produced no fig2 CSV" >&2; return 1; }
-        BM_NAMES+=("$b")
-        BM_WALLS+=($(( (t1 - t0) / 1000000 )))
-        echo "backend $b: fig2 smoke ok in $(( (t1 - t0) / 1000000 )) ms"
-    done
-    cut -d, -f1,2,3,6,7 results/fig2_ljs.csv > "$scratch/bm-ib-committed.csv"
-    cut -d, -f1,2,3,6,7 "$scratch/bm-hca/fig2_ljs.csv" > "$scratch/bm-ib-forced.csv"
-    cmp "$scratch/bm-ib-committed.csv" "$scratch/bm-ib-forced.csv" \
-        || { echo "FAIL: ELANIB_BACKEND=hca drifted the IB columns of fig2" >&2
-             diff -u "$scratch/bm-ib-committed.csv" "$scratch/bm-ib-forced.csv" | head -10 >&2
-             return 1; }
-    cut -d, -f1,4,5,8,9 results/fig2_ljs.csv > "$scratch/bm-elan-committed.csv"
-    cut -d, -f1,4,5,8,9 "$scratch/bm-elan/fig2_ljs.csv" > "$scratch/bm-elan-forced.csv"
-    cmp "$scratch/bm-elan-committed.csv" "$scratch/bm-elan-forced.csv" \
-        || { echo "FAIL: ELANIB_BACKEND=elan drifted the Elan columns of fig2" >&2
-             diff -u "$scratch/bm-elan-committed.csv" "$scratch/bm-elan-forced.csv" | head -10 >&2
-             return 1; }
-    echo "backend-matrix OK: 5 backends smoke-clean, hca/elan columns byte-identical"
-}
-
 stage_conformance() {
     timeout "$wd" ./target/release/conformance --json ci_conformance.json
 }
@@ -349,9 +292,6 @@ else
 fi
 
 declare -a RAN_NAMES RAN_WALLS RAN_STATUS
-# Filled by stage_backend-matrix; emitted as a "backend_matrix" block
-# in ci_summary.json when that stage ran.
-declare -a BM_NAMES=() BM_WALLS=()
 overall=0
 total_start=$(date +%s%N)
 for s in $RUN_LIST; do
@@ -393,14 +333,6 @@ printf '%-14s %8s ms  %s\n' "total" "$total_ms" "$([ "$overall" -eq 0 ] && echo 
             "$([ "${RAN_STATUS[$i]}" = ok ] && echo true || echo false)" \
             "$([ $((i + 1)) -lt ${#RAN_NAMES[@]} ] && echo ',')"
     done
-    if [ "${#BM_NAMES[@]}" -gt 0 ]; then
-        printf '  ],\n  "backend_matrix": [\n'
-        for i in "${!BM_NAMES[@]}"; do
-            printf '    {"backend": "%s", "wall_ms": %s}%s\n' \
-                "${BM_NAMES[$i]}" "${BM_WALLS[$i]}" \
-                "$([ $((i + 1)) -lt ${#BM_NAMES[@]} ] && echo ',')"
-        done
-    fi
     printf '  ]\n}\n'
 } > ci_summary.json
 echo "[stage summary written to ci_summary.json]"
