@@ -20,9 +20,8 @@ use std::rc::Rc;
 
 use elanib_mpi::collectives::{allreduce, barrier, Op};
 use elanib_mpi::{recv, send, Communicator, RankProgram};
-use elanib_simcore::Dur;
 
-use super::{CgProblem, SparseSpd};
+use super::{CgProblem, SparseSpd, MATRIX_SEED};
 
 /// Process-grid geometry for `p = 2^k` ranks, the NPB rule:
 /// `npcols = 2^⌈k/2⌉`, `nprows = p / npcols`.
@@ -134,14 +133,12 @@ impl RankProgram for CgProgram2D {
             let nr = p.n / nprows; // row-strip length
             let nc = p.n / npcols; // column-strip length
             let rows = row * nr..(row + 1) * nr;
-            let a = SparseSpd::shared(p.n, p.nz_per_row, 0xC6);
+            let a = SparseSpd::shared(p.n, p.nz_per_row, MATRIX_SEED);
 
             let blk = Block::new(&a, rows, col * nc..(col + 1) * nc);
 
-            let scale = p.model_n as f64 / p.n as f64;
-            let flops = 2.0 * (a.nnz() as f64 / nproc as f64) + 10.0 * nr as f64;
-            let matvec_time = Dur::from_secs_f64(flops * scale / (p.mflops_per_cpu * 1e6));
-            // Modelled wire sizes at class A scale.
+            // Charged at class A size: compute and wire sizes.
+            let matvec_time = p.step_time(nproc, p.model_n / nprows);
             let nr_bytes = (p.model_n / nprows * 8) as u64;
             let nc_bytes = (p.model_n / npcols * 8) as u64;
 
